@@ -1,49 +1,17 @@
 #include "repl/session.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <utility>
+
+#include "server/net.h"
 
 namespace hart::repl {
 
-namespace {
-bool send_all(int fd, const char* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
-int dial(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const char* ip =
-      (host == "localhost" || host.empty()) ? "127.0.0.1" : host.c_str();
-  if (::inet_pton(AF_INET, ip, &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-}  // namespace
-
 bool ReplSession::connect(ResponseFn on_response, DisconnectFn on_disconnect) {
   close();  // joins any previous reader, resets state
-  const int fd = dial(host_, port_);
+  const int fd = server::dial(host_, port_);
   if (fd < 0) return false;
   {
     common::MutexLock lk(fd_mu_);
@@ -70,7 +38,7 @@ bool ReplSession::send(uint64_t id, const server::Request& req) {
   if (fd < 0) return false;
   std::string frame;
   server::encode_request(id, req, &frame);
-  if (!send_all(fd, frame.data(), frame.size())) {
+  if (!server::send_all(fd, frame.data(), frame.size())) {
     force_disconnect();
     return false;
   }

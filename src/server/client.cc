@@ -1,8 +1,5 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,39 +10,9 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "server/net.h"
 
 namespace hart::server {
-
-namespace {
-bool send_all(int fd, const char* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
-/// One TCP dial; -1 on any failure.
-int dial(const std::string& host, uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const char* ip =
-      (host == "localhost" || host.empty()) ? "127.0.0.1" : host.c_str();
-  if (::inet_pton(AF_INET, ip, &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-}  // namespace
 
 Client::Client(Hartd& local) : local_(&local) {}
 
@@ -142,15 +109,25 @@ void Client::trace_finish(uint64_t id) {
 }
 
 void Client::complete(uint64_t id, Response resp) {
+  std::shared_ptr<common::CondVar> waiter;
   {
     common::MutexLock lk(mu_);
-    // Exactly-once: a request the dying reader already failed must not be
-    // resurrected by a late transport error on the sender side.
-    if (pending_.erase(id) == 0) return;
-    trace_finish(id);
-    done_[id] = std::move(resp);
+    waiter = complete_locked(id, std::move(resp));
   }
-  cv_.notify_all();
+  // Wake outside mu_: holding it across the wake-up stalls every sender.
+  if (waiter) waiter->notify_one();
+}
+
+std::shared_ptr<common::CondVar> Client::complete_locked(uint64_t id,
+                                                         Response resp) {
+  // Exactly-once: a request the dying reader already failed must not be
+  // resurrected by a late transport error on the sender side.
+  if (pending_.erase(id) == 0) return nullptr;
+  trace_finish(id);
+  done_[id] = std::move(resp);
+  if (pending_.empty()) all_done_.notify_all();
+  const auto w = waiters_.find(id);
+  return w == waiters_.end() ? nullptr : w->second;
 }
 
 bool Client::try_reconnect() {
@@ -197,24 +174,18 @@ uint64_t Client::send(Request req) {
     id = next_id_++;
     dead = broken_;
     trace_start(id, &req);
+    pending_.insert(id);
   }
   if (local_ != nullptr) {
-    {
-      common::MutexLock lk(mu_);
-      pending_.insert(id);
-    }
     // Hartd::submit invokes the ack even when shutting down, so every id
     // completes exactly once.
     local_->submit(std::move(req),
                    [this, id](Response r) { complete(id, std::move(r)); });
     return id;
   }
-  if (dead) dead = !try_reconnect();
-  {
-    common::MutexLock lk(mu_);
-    pending_.insert(id);
-  }
-  if (dead) {
+  // A dying reader fails only the ids pending when it died; this one was
+  // inserted after (broken_ was already set), so it is completed here.
+  if (dead && !try_reconnect()) {
     complete(id, Response{Status::kNetError, {}, 0});
     return id;
   }
@@ -231,7 +202,14 @@ uint64_t Client::send(Request req) {
 
 Response Client::wait(uint64_t id) {
   common::MutexLock lk(mu_);
-  while (done_.count(id) == 0 && pending_.count(id) != 0) cv_.wait(mu_);
+  if (pending_.count(id) != 0) {
+    // Completion moves the id from pending_ to done_ and wakes only this
+    // waiter.
+    const auto cv = std::make_shared<common::CondVar>();
+    waiters_[id] = cv;
+    while (pending_.count(id) != 0) cv->wait(mu_);
+    waiters_.erase(id);
+  }
   auto it = done_.find(id);
   if (it == done_.end()) return Response{Status::kNetError, {}, 0};
   Response r = std::move(it->second);
@@ -241,9 +219,9 @@ Response Client::wait(uint64_t id) {
 
 void Client::wait_all() {
   common::MutexLock lk(mu_);
-  // A dying reader moves every pending id to done_, so this always
-  // terminates even without reconnection.
-  while (!pending_.empty()) cv_.wait(mu_);
+  // A dying reader fails every pending id, so this always terminates even
+  // without reconnection.
+  while (!pending_.empty()) all_done_.wait(mu_);
 }
 
 size_t Client::outstanding() const {
@@ -259,40 +237,49 @@ bool Client::connected() const {
 void Client::reader_loop(int fd) {
   std::string buf;
   std::string body;
+  std::vector<std::pair<uint64_t, Response>> arrived;
+  std::vector<std::shared_ptr<common::CondVar>> wake;
   char chunk[4096];
-  for (;;) {
+  bool bad = false;
+  while (!bad) {
     const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
     if (r <= 0) break;
     buf.append(chunk, static_cast<size_t>(r));
-    for (;;) {
-      const int got = take_frame(&buf, &body);
-      if (got < 0) goto out;  // malformed stream
-      if (got == 0) break;
+    // Decode the whole chunk first, then complete it under one mu_.
+    int got;
+    while ((got = take_frame(&buf, &body)) > 0) {
       uint64_t id = 0;
       Response resp;
-      if (!decode_response(body.data(), body.size(), &id, &resp)) goto out;
-      {
-        common::MutexLock lk(mu_);
-        if (pending_.erase(id) != 0) trace_finish(id);
-        done_[id] = std::move(resp);
+      if (!decode_response(body.data(), body.size(), &id, &resp)) {
+        got = -1;
+        break;
       }
-      cv_.notify_all();
+      arrived.emplace_back(id, std::move(resp));
     }
+    bad = got < 0;  // malformed stream
+    if (arrived.empty()) continue;
+    {
+      common::MutexLock lk(mu_);
+      for (auto& [id, resp] : arrived)
+        if (auto w = complete_locked(id, std::move(resp)))
+          wake.push_back(std::move(w));
+    }
+    arrived.clear();
+    for (auto& w : wake) w->notify_one();
+    wake.clear();
   }
-out:
   // Stream is gone (server died, protocol error, or dtor shut the
   // socket): fail every in-flight request now — the next send() may
   // reconnect, and a fresh stream will never answer these ids.
   {
     common::MutexLock lk(mu_);
     broken_ = true;
-    for (const uint64_t id : pending_) {
-      trace_finish(id);
-      done_[id] = Response{Status::kNetError, {}, 0};
-    }
-    pending_.clear();
+    const std::vector<uint64_t> lost(pending_.begin(), pending_.end());
+    for (const uint64_t id : lost)
+      if (auto w = complete_locked(id, Response{Status::kNetError, {}, 0}))
+        wake.push_back(std::move(w));
   }
-  cv_.notify_all();
+  for (auto& w : wake) w->notify_one();
 }
 
 Response Client::put(std::string key, std::string value) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -112,6 +113,12 @@ class Client {
  private:
   void reader_loop(int fd);
   void complete(uint64_t id, Response resp);
+  /// Move a pending id to done_ (waking wait_all once nothing is
+  /// pending) and return the condition variable of the thread waiting for
+  /// it, if any. The caller notifies it after releasing mu_. A non-pending
+  /// id is ignored.
+  std::shared_ptr<common::CondVar> complete_locked(uint64_t id, Response resp)
+      REQUIRES(mu_);
   /// Stamp a sampled request and remember its span start (under mu_).
   void trace_start(uint64_t id, Request* req) REQUIRES(mu_);
   /// Pop the span state for a completing id and record the "client" span.
@@ -134,7 +141,7 @@ class Client {
   int fd_ GUARDED_BY(write_mu_) = -1;  // TCP transport when >= 0
 
   mutable common::Mutex mu_;
-  common::CondVar cv_;
+  common::CondVar all_done_;  // wait_all(): signalled when pending_ empties
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   bool broken_ GUARDED_BY(mu_) = false;  // TCP stream died
   uint64_t trace_every_ GUARDED_BY(mu_) = 0;  // sample every Nth; 0 = off
@@ -150,6 +157,11 @@ class Client {
   /// reconnect (a fresh stream has no memory of the old one's requests).
   std::unordered_set<uint64_t> pending_ GUARDED_BY(mu_);
   std::unordered_map<uint64_t, Response> done_ GUARDED_BY(mu_);
+  /// The condition variable of the one thread blocked in wait(id). Shared
+  /// so a completer can notify it after releasing mu_, even if the waiter
+  /// has already returned.
+  std::unordered_map<uint64_t, std::shared_ptr<common::CondVar>> waiters_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace hart::server

@@ -5,28 +5,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "obs/counters.h"
+#include "server/net.h"
 
 namespace hart::server {
-
-namespace {
-/// write() the whole buffer; MSG_NOSIGNAL so a dead peer yields EPIPE, not
-/// SIGPIPE. Returns false on any error (the connection is then abandoned).
-bool send_all(int fd, const char* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-}  // namespace
 
 TcpServer::TcpServer(Hartd& db, uint16_t port) : db_(db) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -61,6 +49,7 @@ void TcpServer::accept_loop() {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;  // transient (EINTR, aborted handshake)
     }
+    reap_finished();
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
@@ -70,20 +59,58 @@ void TcpServer::accept_loop() {
       ::close(fd);
       return;
     }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { serve(conn); });
+    conns_.push_back({conn, std::thread([this, conn] {
+                        serve(conn);
+                        close_conn(*conn);
+                        conn->finished.store(true, std::memory_order_release);
+                      })});
   }
 }
 
-void TcpServer::send_response(const std::shared_ptr<Conn>& conn, uint64_t id,
-                              const Response& resp) {
-  std::string frame;
-  encode_response(id, resp, &frame);
-  common::MutexLock lk(conn->write_mu);
-  if (!conn->open) return;  // connection already torn down: drop the ack
-  if (!send_all(conn->fd, frame.data(), frame.size())) {
-    // Peer vanished; reads will notice too. Leave closing to stop()/serve.
+void TcpServer::reap_finished() {
+  std::vector<ConnThread> done;
+  {
+    common::MutexLock lk(conns_mu_);
+    const auto live = std::partition(
+        conns_.begin(), conns_.end(), [](const ConnThread& c) {
+          return !c.conn->finished.load(std::memory_order_acquire);
+        });
+    std::move(live, conns_.end(), std::back_inserter(done));
+    conns_.erase(live, conns_.end());
   }
+  // Each of these threads has already closed its fd and is returning.
+  for (auto& c : done) c.thread.join();
+}
+
+void TcpServer::write_out(Conn& conn) {
+  // A failed send means the peer vanished; serve()'s recv() notices too,
+  // so the held bytes are simply dropped.
+  send_all(conn.fd, conn.out.data(), conn.out.size());
+  conn.out.clear();
+}
+
+void TcpServer::respond(Conn& conn, uint64_t id, const Response& resp) {
+  common::MutexLock lk(conn.write_mu);
+  if (!conn.open) return;  // connection already torn down: drop the ack
+  encode_response(id, resp, &conn.out);
+  if (!conn.holding) write_out(conn);
+}
+
+void TcpServer::hold(Conn& conn) {
+  common::MutexLock lk(conn.write_mu);
+  conn.holding = true;
+}
+
+void TcpServer::flush(Conn& conn) {
+  common::MutexLock lk(conn.write_mu);
+  conn.holding = false;
+  if (!conn.out.empty()) write_out(conn);
+}
+
+void TcpServer::close_conn(Conn& conn) {
+  common::MutexLock lk(conn.write_mu);
+  conn.open = false;
+  ::close(conn.fd);
 }
 
 void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
@@ -92,24 +119,11 @@ void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
   char chunk[4096];
   for (;;) {
     const ssize_t r = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (r <= 0) break;  // EOF, error, or shutdown() from stop()
+    if (r <= 0) return;  // EOF, error, or shutdown() from stop()
     buf.append(chunk, static_cast<size_t>(r));
-    for (;;) {
-      const int got = take_frame(&buf, &body);
-      if (got < 0) {
-        // Oversized or corrupt length prefix: the stream can't be
-        // re-synchronized, so the connection must drop — but tell the
-        // peer why first (id 0: the offending frame's id is unknowable).
-        obs::Registry::instance()
-            .counter("hartd_proto_errors_total")
-            .inc();
-        send_response(conn, 0, Response{Status::kProtocolError, {}, 0});
-        // Actively hang up so the peer sees EOF right away; the fd itself
-        // is closed (under write_mu) by stop() like every other conn.
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
-      if (got == 0) break;
+    hold(*conn);
+    int got;
+    while ((got = take_frame(&buf, &body)) > 0) {
       uint64_t id = 0;
       Request req;
       if (!decode_request(body.data(), body.size(), &id, &req)) {
@@ -121,13 +135,27 @@ void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
         obs::Registry::instance()
             .counter("hartd_proto_errors_total")
             .inc();
-        send_response(conn, id, Response{Status::kProtocolError, {}, 0});
+        respond(*conn, id, Response{Status::kProtocolError, {}, 0});
         continue;
       }
       db_.submit(std::move(req), [conn, id](Response resp) {
-        send_response(conn, id, resp);
+        respond(*conn, id, resp);
       });
     }
+    if (got < 0) {
+      // Oversized or corrupt length prefix: the stream can't be
+      // re-synchronized, so the connection must drop — but tell the peer
+      // why first (id 0: the offending frame's id is unknowable), after
+      // every response already held for this chunk.
+      obs::Registry::instance().counter("hartd_proto_errors_total").inc();
+      respond(*conn, 0, Response{Status::kProtocolError, {}, 0});
+      flush(*conn);
+      // Actively hang up so the peer sees EOF right away; the fd itself is
+      // closed (under write_mu) when serve() returns.
+      ::shutdown(conn->fd, SHUT_RDWR);
+      return;
+    }
+    flush(*conn);
   }
 }
 
@@ -138,24 +166,19 @@ void TcpServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
 
-  // Kick every reader out of recv(), join the connection threads, and only
-  // then close the fds — under write_mu, so a late ack can never write to
-  // a closed (possibly reused) descriptor.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> threads;
+  // Kick every reader out of recv() and join the connection threads; each
+  // closes its own fd under write_mu on the way out, so a late ack can
+  // never write to a closed (possibly reused) descriptor.
+  std::vector<ConnThread> conns;
   {
     common::MutexLock lk(conns_mu_);
     conns.swap(conns_);
-    threads.swap(conn_threads_);
   }
-  for (auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
   for (auto& c : conns) {
-    common::MutexLock lk(c->write_mu);
-    c->open = false;
-    ::close(c->fd);
+    common::MutexLock lk(c.conn->write_mu);
+    if (c.conn->open) ::shutdown(c.conn->fd, SHUT_RDWR);
   }
+  for (auto& c : conns) c.thread.join();
 }
 
 }  // namespace hart::server

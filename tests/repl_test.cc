@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -465,18 +466,23 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-// Read one response frame; returns false on EOF / error.
-bool read_response(int fd, uint64_t* id, Response* resp) {
-  std::string buf;
+// Read one response frame; returns false on EOF / error. The server may
+// coalesce several responses into one write, so a caller expecting more
+// than one passes the same `buf` to every call to keep the bytes already
+// received beyond the first frame.
+bool read_response(int fd, uint64_t* id, Response* resp,
+                   std::string* buf = nullptr) {
+  std::string local;
+  if (buf == nullptr) buf = &local;
   std::string body;
   char tmp[512];
   while (true) {
-    const int got = take_frame(&buf, &body);
+    const int got = take_frame(buf, &body);
     if (got < 0) return false;
     if (got > 0) return decode_response(body.data(), body.size(), id, resp);
     const ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);
     if (n <= 0) return false;
-    buf.append(tmp, static_cast<size_t>(n));
+    buf->append(tmp, static_cast<size_t>(n));
   }
 }
 
@@ -535,6 +541,126 @@ TEST(TcpProtocolTest, GarbageBodyGetsErrorAndConnectionKeepsServing) {
   ASSERT_TRUE(read_response(fd, &id, &resp));
   EXPECT_EQ(id, 42u);
   EXPECT_EQ(resp.status, Status::kOk);
+
+  ::close(fd);
+  srv.stop();
+  db.shutdown();
+}
+
+// ---- TCP response coalescing ---------------------------------------------
+//
+// One send() carrying many frames is parsed as one burst: the server holds
+// every response produced meanwhile (inline fast-path gets, protocol
+// errors, shard acks) and writes them together. Nothing may be lost,
+// duplicated or misattributed in the process.
+
+std::string garbage_frame(uint64_t id) {
+  std::string body;
+  body.append(reinterpret_cast<const char*>(&id), sizeof(id));
+  body.append(4, '\0');  // op byte 0: well framed, undecodable
+  std::string wire;
+  const uint32_t len = static_cast<uint32_t>(body.size());
+  wire.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  return wire + body;
+}
+
+TEST(TcpProtocolTest, BurstGetsExactlyOneResponsePerFrame) {
+  Hartd db(base_opts(2));
+  constexpr uint64_t kKeys = 128;
+  for (uint64_t k = 0; k < kKeys; ++k)
+    ASSERT_EQ(db.execute({OpCode::kPut, "b" + std::to_string(k), "v"}).status,
+              Status::kOk);
+  TcpServer srv(db, 0);
+  const int fd = dial(srv.port());
+
+  // Expected (status, value) per id. Gets alternate hit / miss, updates
+  // (answered by shard workers, so possibly mid-burst) alternate hit /
+  // miss, and one garbage frame sits in the middle. The burst is larger
+  // than the server's receive chunk, so it also spans several reads.
+  std::map<uint64_t, std::pair<Status, std::string>> want;
+  std::string wire;
+  uint64_t id = 1;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    encode_request(id, {OpCode::kGet, "b" + std::to_string(k), ""}, &wire);
+    want[id++] = {Status::kOk, "v"};
+    encode_request(id, {OpCode::kGet, "m" + std::to_string(k), ""}, &wire);
+    want[id++] = {Status::kNotFound, ""};
+    if (k == kKeys / 2) {
+      wire += garbage_frame(id);
+      want[id++] = {Status::kProtocolError, ""};
+    }
+    if (k % 4 == 0) {
+      encode_request(id, {OpCode::kUpdate, "b" + std::to_string(k), "v"},
+                     &wire);
+      want[id++] = {Status::kOk, ""};
+      encode_request(id, {OpCode::kUpdate, "m" + std::to_string(k), "v"},
+                     &wire);
+      want[id++] = {Status::kNotFound, ""};
+    }
+  }
+  ASSERT_GT(wire.size(), 4096u);
+  ASSERT_TRUE(send_all(fd, wire));
+
+  std::map<uint64_t, int> seen;
+  std::string buf;
+  for (size_t i = 0; i < want.size(); ++i) {
+    uint64_t got_id = 0;
+    Response resp;
+    ASSERT_TRUE(read_response(fd, &got_id, &resp, &buf));
+    ++seen[got_id];
+    ASSERT_EQ(want.count(got_id), 1u) << "unknown id " << got_id;
+    EXPECT_EQ(resp.status, want[got_id].first) << "id " << got_id;
+    EXPECT_EQ(resp.value, want[got_id].second) << "id " << got_id;
+  }
+  for (const auto& [wid, expect] : want) EXPECT_EQ(seen[wid], 1) << wid;
+
+  // Nothing else is owed: the next response on the stream is a fresh ping.
+  std::string ping;
+  encode_request(id, {OpCode::kPing, "", ""}, &ping);
+  ASSERT_TRUE(send_all(fd, ping));
+  uint64_t got_id = 0;
+  Response resp;
+  ASSERT_TRUE(read_response(fd, &got_id, &resp, &buf));
+  EXPECT_EQ(got_id, id);
+  EXPECT_EQ(resp.status, Status::kOk);
+
+  ::close(fd);
+  srv.stop();
+  db.shutdown();
+}
+
+TEST(TcpProtocolTest, OversizedFrameAfterBurstFlushesHeldResponsesFirst) {
+  Hartd db(base_opts(1));
+  ASSERT_EQ(db.execute({OpCode::kPut, "hit", "hv"}).status, Status::kOk);
+  TcpServer srv(db, 0);
+  const int fd = dial(srv.port());
+
+  constexpr uint64_t kGets = 40;
+  std::string wire;
+  for (uint64_t id = 1; id <= kGets; ++id)
+    encode_request(id, {OpCode::kGet, id % 2 ? "hit" : "miss", ""}, &wire);
+  const uint32_t huge = kMaxFrameBody + 1;
+  wire.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  ASSERT_TRUE(send_all(fd, wire));
+
+  // Every get was answered inline before the bad prefix was parsed, so
+  // all of them must reach the peer ahead of the terminal error.
+  std::string buf;
+  for (uint64_t want = 1; want <= kGets; ++want) {
+    uint64_t id = 0;
+    Response resp;
+    ASSERT_TRUE(read_response(fd, &id, &resp, &buf));
+    EXPECT_EQ(id, want);
+    EXPECT_EQ(resp.status, want % 2 ? Status::kOk : Status::kNotFound);
+  }
+  uint64_t id = 1;
+  Response resp;
+  ASSERT_TRUE(read_response(fd, &id, &resp, &buf));
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(resp.status, Status::kProtocolError);
+  EXPECT_TRUE(buf.empty());
+  char tmp[16];
+  EXPECT_EQ(::recv(fd, tmp, sizeof(tmp), 0), 0);  // then EOF
 
   ::close(fd);
   srv.stop();

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -133,6 +136,79 @@ TEST(ClientTest, TcpRoundTrip) {
   for (const uint64_t id : ids)
     EXPECT_EQ(cl.wait(id).status, Status::kOk);
   EXPECT_EQ(db.total_size(), 101u);
+  tcp.stop();
+}
+
+size_t open_fds() {
+  namespace fs = std::filesystem;
+  return static_cast<size_t>(std::distance(
+      fs::directory_iterator("/proc/self/fd"), fs::directory_iterator{}));
+}
+
+// A connection the peer closed must release its server-side fd (and its
+// thread) while the server keeps running, not only at stop().
+TEST(ClientTest, ClosedConnectionsReleaseServerFds) {
+  Hartd db(small_opts(2));
+  TcpServer tcp(db, 0);
+  ASSERT_EQ(db.execute({OpCode::kPut, "fd-key", "v"}).status, Status::kOk);
+  const size_t before = open_fds();
+  for (int i = 0; i < 200; ++i) {
+    Client cl("127.0.0.1", tcp.port());
+    ASSERT_EQ(cl.get("fd-key").status, Status::kOk);
+  }
+  // The last few closes may still be in flight on the server side.
+  size_t after = open_fds();
+  for (int i = 0; i < 200 && after > before + 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + 4);
+  tcp.stop();
+}
+
+// Several threads pipelining through one shared TCP Client: each
+// completion must reach exactly its own waiter, whichever thread waits.
+TEST(ClientTest, SharedTcpClientCompletesEveryWaiter) {
+  Hartd db(small_opts(4));
+  TcpServer tcp(db, 0);
+  Client cl("127.0.0.1", tcp.port());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 300;
+  constexpr size_t kWindow = 16;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&cl, t] {
+      const auto key = [t](int i) {
+        return "s" + std::to_string(t) + "-" + std::to_string(i);
+      };
+      std::deque<uint64_t> puts;
+      for (int i = 0; i < kPerThread; ++i) {
+        puts.push_back(cl.send({OpCode::kPut, key(i), key(i)}));
+        if (puts.size() >= kWindow || i + 1 == kPerThread) {
+          while (!puts.empty()) {
+            EXPECT_EQ(cl.wait(puts.front()).status, Status::kOk);
+            puts.pop_front();
+          }
+        }
+      }
+      std::deque<std::pair<uint64_t, std::string>> gets;
+      for (int i = 0; i < kPerThread; ++i) {
+        gets.emplace_back(cl.send({OpCode::kGet, key(i), ""}), key(i));
+        if (gets.size() >= kWindow || i + 1 == kPerThread) {
+          while (!gets.empty()) {
+            const Response r = cl.wait(gets.front().first);
+            EXPECT_EQ(r.status, Status::kOk);
+            EXPECT_EQ(r.value, gets.front().second);
+            gets.pop_front();
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  cl.wait_all();
+  EXPECT_EQ(cl.outstanding(), 0u);
+  EXPECT_EQ(db.total_size(), static_cast<size_t>(kThreads) * kPerThread);
   tcp.stop();
 }
 
