@@ -272,7 +272,24 @@ class Domain {
       to_free.swap(limbo_[(ep + 1) % 3]);
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
     }
-    for (const Retired& r : to_free) r.fn(r.ptr, r.ctx);
+    // A callback may throw: the crash tests' simulated power failure
+    // (pmem::CrashPoint) unwinds out of a free that persists. The entries
+    // it did not reach go back to limbo, so a later drain() still frees
+    // them, and in_flight_ is released, or every later drain() would spin.
+    size_t next = 0;
+    try {
+      for (; next < to_free.size(); ++next)
+        to_free[next].fn(to_free[next].ptr, to_free[next].ctx);
+    } catch (...) {
+      {
+        MutexLock lk(limbo_mu_);
+        auto& bucket = limbo_[epoch_.load(std::memory_order_relaxed) % 3];
+        bucket.insert(bucket.end(), to_free.begin() + next + 1,
+                      to_free.end());
+      }
+      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      throw;
+    }
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return true;
   }

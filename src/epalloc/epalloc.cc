@@ -52,7 +52,11 @@ EpCounters& ep_counters() {
 EPAllocator::EPAllocator(pmem::Arena& arena, EPRoot* root,
                          uint32_t leaf_obj_size, LeafProbeFn probe,
                          LeafClearFn clear)
-    : arena_(arena), root_(root), probe_(probe), clear_(clear) {
+    : arena_(arena),
+      root_(root),
+      probe_(probe),
+      clear_(clear),
+      ulog_slots_(line_contained_ulog_slots(arena.off(root->ulogs))) {
   types_[static_cast<int>(ObjType::kLeaf)].geom =
       TypeGeometry::for_obj_size(leaf_obj_size);
   for (int t = 1; t < kNumObjTypes; ++t)
@@ -370,7 +374,8 @@ UpdateLog* EPAllocator::acquire_ulog() {
   for (;;) {
     {
       common::MutexLock lk(ulog_mu_);
-      const auto idx = static_cast<uint32_t>(std::countr_one(ulog_busy_));
+      const auto idx =
+          static_cast<uint32_t>(std::countr_one(ulog_busy_ | ~ulog_slots_));
       if (idx < kUpdateLogSlots) {
         ulog_busy_ |= (uint32_t{1} << idx);
         ep_counters().ulog_take.inc();

@@ -179,8 +179,10 @@ class EPAllocator final : public Allocator {
   LeafProbeFn probe_;
   LeafClearFn clear_;
   TypeState types_[kNumObjTypes];
+  // Bitmasks over kUpdateLogSlots (<= 32): the line-contained slots that
+  // may be handed out, and those in flight.
+  const uint32_t ulog_slots_;
   common::Mutex ulog_mu_;
-  // Bitmask over kUpdateLogSlots (<= 32).
   uint32_t ulog_busy_ GUARDED_BY(ulog_mu_) = 0;
   /// Serializes all use of the single shared RecycleLog. The per-type mutex
   /// is not enough: chunks of *different* object types can be recycled

@@ -15,10 +15,14 @@
 
 namespace hart::epalloc {
 
-/// Update log (Algorithm 3). A log slot is in use iff pleaf != 0.
-/// Field write/persist order during an update:
-///   pleaf -> poldv -> (new value written) -> meta -> pnewv -> ... work ...
-///   -> all four zeroed (LogReclaim).
+/// Update log (Algorithm 3). A record is complete iff pleaf != 0 and
+/// pnewv != 0; recovery replays complete records and zeroes every other
+/// non-empty slot. Write/persist order during an update:
+///   (new value written + persisted) -> pleaf, poldv, meta -> pnewv ->
+///   one flush of the record -> ... work ... -> all four zeroed
+///   (LogReclaim).
+/// The single flush is failure-atomic only because the slot lies inside
+/// one cache line (see line_contained_ulog_slots).
 struct UpdateLog {
   uint64_t pleaf = 0;  // leaf being updated
   uint64_t poldv = 0;  // old value object
@@ -55,8 +59,9 @@ struct RecycleLog {
 };
 static_assert(sizeof(RecycleLog) == 24);
 
-/// Number of update-log slots. Bounds the number of concurrently in-flight
-/// update operations (one per writer thread).
+/// Number of update-log slots. Only the slots that fit inside one cache
+/// line are handed out (16 with HartRoot's layout), which bounds the number
+/// of concurrently in-flight update operations (one per writer thread).
 inline constexpr uint32_t kUpdateLogSlots = 32;
 
 /// Persistent EPallocator state embedded in the index root: one chunk-list
@@ -66,5 +71,19 @@ struct EPRoot {
   RecycleLog rlog;
   UpdateLog ulogs[kUpdateLogSlots];
 };
+
+/// Bitmask of the ulogs[] slots that lie inside one cache line, for an
+/// array starting at arena offset `ulogs_off`. A slot that straddles a line
+/// cannot hold a record that one flush makes durable all-or-nothing, so
+/// acquire_ulog hands out only these.
+inline uint32_t line_contained_ulog_slots(uint64_t ulogs_off) {
+  uint32_t mask = 0;
+  for (uint32_t i = 0; i < kUpdateLogSlots; ++i) {
+    const uint64_t o = ulogs_off + uint64_t{i} * sizeof(UpdateLog);
+    if (o % pmem::kCacheLine + sizeof(UpdateLog) <= pmem::kCacheLine)
+      mask |= uint32_t{1} << i;
+  }
+  return mask;
+}
 
 }  // namespace hart::epalloc

@@ -74,7 +74,8 @@ StripedAllocator::StripedAllocator(pmem::Arena& arena, EPRoot* root,
       probe_(probe),
       clear_(clear),
       nstripes_(stripes == 0 ? 1 : stripes),
-      batched_(batched_meta) {
+      batched_(batched_meta),
+      ulog_slots_(line_contained_ulog_slots(arena.off(root->ulogs))) {
   types_[static_cast<int>(ObjType::kLeaf)].geom =
       TypeGeometry::for_obj_size(leaf_obj_size);
   for (int t = 1; t < kNumObjTypes; ++t)
@@ -481,7 +482,8 @@ UpdateLog* StripedAllocator::acquire_ulog() {
   for (;;) {
     {
       common::MutexLock lk(ulog_mu_);
-      const auto idx = static_cast<uint32_t>(std::countr_one(ulog_busy_));
+      const auto idx =
+          static_cast<uint32_t>(std::countr_one(ulog_busy_ | ~ulog_slots_));
       if (idx < kUpdateLogSlots) {
         ulog_busy_ |= (uint32_t{1} << idx);
         striped_counters().ulog_take.inc();

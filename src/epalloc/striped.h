@@ -164,8 +164,10 @@ class StripedAllocator final : public Allocator {
   const uint32_t nstripes_;
   const bool batched_;
   TypeState types_[kNumObjTypes];
+  // Bitmasks over kUpdateLogSlots (<= 32): the line-contained slots that
+  // may be handed out, and those in flight.
+  const uint32_t ulog_slots_;
   common::Mutex ulog_mu_;
-  // Bitmask over kUpdateLogSlots (<= 32).
   uint32_t ulog_busy_ GUARDED_BY(ulog_mu_) = 0;
   /// Serializes all use of the single shared persistent RecycleLog (same
   /// argument as the legacy allocator — see epalloc.h). Acquired after a

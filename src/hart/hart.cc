@@ -152,42 +152,36 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   arena_.trace_store(vp, value_object_size(vcls));
   arena_.persist(vp, value_object_size(vcls));
 
-  // Line 13: leaf.p_value = &value; persistent(). The value's class tag
-  // and length are flushed in the same step (they sit next to p_value at
-  // the leaf tail): the stale-value probe and the verifier interpret
-  // p_value through val_class, so the tag must never be persisted *after*
-  // the value bit — a crash in between would leave a dangling value whose
-  // chunk geometry would be derived from a stale class.
+  // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, its length
+  // and the tail (p_value = &value, class tag, length, fingerprint) go into
+  // the leaf, then one persistent() covers the whole leaf. The leaf bit is
+  // still clear, so the key bytes mean nothing yet; what matters is that
+  // the tail is durable *before* the value bit — the stale-value probe and
+  // the verifier interpret p_value through val_class, so a crash after the
+  // value bit must never find a stale class next to it.
   auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
+  std::memcpy(leaf->key, key.data(), key.size());
+  leaf->key_len = static_cast<uint8_t>(key.size());
   leaf->val_len = static_cast<uint8_t>(value.size());
   leaf->val_class = value_class_tag(vcls);
-  // The ART-key fingerprint persists with the rest of the tail below —
-  // key_fp sits inside the [val_len, end) range, so it costs no extra
-  // trace_store/persist. Recovery re-tags the DRAM tree from it.
+  // Recovery re-tags the DRAM tree from the persisted fingerprint.
   leaf->key_fp = art::key_fingerprint(akey);
   leaf->vseq = 0;  // even: no update in flight (reused slots hold garbage)
   leaf->p_value = val_off;
-  arena_.trace_store(&leaf->val_len,
-                     sizeof(HartLeaf) - offsetof(HartLeaf, val_len));
-  arena_.persist(&leaf->val_len,
-                 sizeof(HartLeaf) - offsetof(HartLeaf, val_len));
+  arena_.trace_store(leaf->key, key.size());
+  arena_.trace_store(&leaf->key_len,
+                     sizeof(HartLeaf) - offsetof(HartLeaf, key_len));
+  arena_.persist(leaf, sizeof(HartLeaf));
 
   // Line 14: set + persist the value bit.
   ep_->commit(vcls, val_off);
 
-  // Lines 15-16: the complete key and its length into the leaf.
-  std::memcpy(leaf->key, key.data(), key.size());
-  leaf->key_len = static_cast<uint8_t>(key.size());
-  arena_.trace_store(leaf->key, key.size());
-  arena_.trace_store(&leaf->key_len, sizeof(leaf->key_len));
-  arena_.persist(leaf, sizeof(HartLeaf));
-
   // Line 17: Insert2Tree — DRAM only, no persistence needed (selective
-  // consistency: internal nodes are reconstructable). The release store
-  // publishing the leaf into the tree is what makes the plain stores above
-  // visible to lock-free readers.
-  HartLeafTraits traits{opts_.hash_key_len, &arena_};
-  part->tree.insert(traits.key(leaf), leaf);
+  // consistency: internal nodes are reconstructable). The tree is keyed by
+  // the caller's DRAM copy of the key: reading it back from the leaf would
+  // be a charged PM read. The release store publishing the leaf into the
+  // tree is what makes the plain stores above visible to lock-free readers.
+  part->tree.insert(akey, leaf);
 
   // Line 18: set + persist the leaf bit — the commit point.
   ep_->commit(epalloc::ObjType::kLeaf, leaf_off);
@@ -202,39 +196,32 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   const epalloc::ObjType old_cls = value_class_of(leaf);
   const epalloc::ObjType new_cls = value_class_for(value.size());
 
-  epalloc::UpdateLog* ulog = ep_->acquire_ulog();
-  // Lines 2-3: record the leaf and its old value in the log. The two words
-  // share a cache line and stores are program-ordered, so one flush
-  // suffices (recovery treats {pleaf} and {pleaf, poldv} identically: both
-  // reset the log when pnewv is absent).
-  ulog->pleaf = leaf_off;
-  ulog->poldv = old_off;
-  arena_.trace_store(&ulog->pleaf, 2 * sizeof(uint64_t));
-  arena_.persist(&ulog->pleaf, 2 * sizeof(uint64_t));
-
   // Lines 4-5: write the new value into freshly allocated space. On
-  // exhaustion the old value is untouched and pnewv was never written, so
-  // reclaiming the log is a clean abort (recovery would have reset it the
-  // same way).
+  // exhaustion nothing was written: the old value is untouched and no log
+  // slot is held, so returning is a clean abort.
   uint64_t new_off = 0;
-  if (auto s = ep_->reserve(new_cls, &new_off); !s.ok()) {
-    ep_->reclaim_ulog(ulog);
-    return s;
-  }
+  if (auto s = ep_->reserve(new_cls, &new_off); !s.ok()) return s;
   char* vp = arena_.ptr<char>(new_off);
   std::memcpy(vp, value.data(), value.size());
   std::memset(vp + value.size(), 0, value_object_size(new_cls) - value.size());
   arena_.trace_store(vp, value_object_size(new_cls));
   arena_.persist(vp, value_object_size(new_cls));
 
-  // Line 6: PNewV plus our meta word. Both live in the same log line and
-  // stores are program-ordered, so one flush suffices: a persisted PNewV
-  // implies a persisted meta.
+  // Lines 2-3 and 6, fused (DESIGN.md §1): the whole record is written with
+  // PNewV last, then flushed once. The slot sits inside one cache line
+  // (acquire_ulog guarantees it), and stores to one line reach PM in
+  // program order, so a durable PNewV implies durable PLeaf, POldV and
+  // meta. Without PNewV recovery resets the slot — the new value's
+  // reservation is volatile — so PLeaf needs no flush of its own.
+  epalloc::UpdateLog* ulog = ep_->acquire_ulog();
+  ulog->pleaf = leaf_off;
+  ulog->poldv = old_off;
   ulog->meta = epalloc::UpdateLog::pack_meta(
       static_cast<uint32_t>(value.size()), old_cls, new_cls);
-  ulog->pnewv = new_off;
-  arena_.trace_store(&ulog->pnewv, 2 * sizeof(uint64_t));
-  arena_.persist(&ulog->pnewv, 2 * sizeof(uint64_t));  // pnewv + meta
+  std::atomic_ref<uint64_t>(ulog->pnewv)
+      .store(new_off, std::memory_order_release);
+  arena_.trace_store(ulog, sizeof(*ulog));
+  arena_.persist(ulog, sizeof(*ulog));
 
   // Line 7: set the bit for the new value.
   ep_->commit(new_cls, new_off);
@@ -622,13 +609,18 @@ void HartCursor::next() {
 // Algorithm 3's recovery case analysis, applied to every log slot.
 void Hart::replay_update_logs() {
   for (auto& ulog : root_->ep.ulogs) {
-    if (ulog.pleaf == 0) continue;
-    if (ulog.pnewv == 0) {
-      // Crash before line 6: the old value is intact; the reserved new
-      // space evaporated with the volatile reservation. Just reset.
-      ulog = epalloc::UpdateLog{};
-      arena_.trace_store(&ulog, sizeof(ulog));
-      arena_.persist(&ulog, sizeof(ulog));
+    if (ulog.pleaf == 0 || ulog.pnewv == 0) {
+      // Not a complete record: a crash before the record's flush (the old
+      // value is intact; the new one's reservation evaporated), or a torn
+      // LogReclaim. Either way the slot must come back fully zeroed — a
+      // stale PNewV left behind would otherwise complete the record the
+      // next update writes into this slot before that update's flush.
+      if (ulog.pleaf != 0 || ulog.poldv != 0 || ulog.pnewv != 0 ||
+          ulog.meta != 0) {
+        ulog = epalloc::UpdateLog{};
+        arena_.trace_store(&ulog, sizeof(ulog));
+        arena_.persist(&ulog, sizeof(ulog));
+      }
       continue;
     }
     // All three pointers valid: resume from line 7 (idempotent redo).
@@ -642,9 +634,12 @@ void Hart::replay_update_logs() {
     leaf->vseq = 0;  // a crash mid-swing may have left it odd
     arena_.trace_store(leaf, sizeof(HartLeaf));
     arena_.persist(leaf, sizeof(HartLeaf));
+    // Line 9 only. Line 10's chunk recycle must not run here: with batched
+    // metadata, a live leaf's value in the same chunk may still lack its
+    // durable bit until the leaf walk re-commits it, so the chunk can look
+    // empty now. An empty chunk left linked is reused, not leaked.
     if (ep_->bit_is_set(old_cls, ulog.poldv))
       ep_->free_object(old_cls, ulog.poldv);
-    ep_->recycle_chunk_of(old_cls, ulog.poldv);
     ulog = epalloc::UpdateLog{};
     arena_.trace_store(&ulog, sizeof(ulog));
     arena_.persist(&ulog, sizeof(ulog));
@@ -759,26 +754,60 @@ void Hart::recover(unsigned threads) {
   ep_->flush_metadata(root_->epoch);
 }
 
-// Reachability sweep over the value lists (batched-metadata crash repair).
-// A crash can leave a committed value referenced by no leaf slot at all:
-// e.g. a delete whose value-bit clear was deferred while the (eager)
-// p_value clear persisted. Free those. Values referenced only by a *free*
-// leaf slot (a dangling ref) are deliberately kept committed — that is the
-// pre-existing pending-reclamation state the stale-value probe reclaims
-// lazily on slot reuse (Alg. 2 lines 12-16), and legacy crash images rely
-// on it. On a legacy (eager-metadata) image every committed value is
-// referenced somewhere, so this sweep is a no-op.
+// Reachability sweep over the leaf slots and value lists.
+//
+// Free leaf slots first. A free slot whose p_value names a committed value
+// that no live leaf owns is the pending-reclamation state the stale-value
+// probe reclaims lazily on slot reuse (Alg. 2 lines 12-16); legacy crash
+// images rely on it, so it is kept. Any other non-zero p_value in a free
+// slot is stale and is cleared: an insert that crashed after its leaf
+// flush but before its value bit leaves p_value naming a value slot that
+// recovery treats as free. Once that slot is re-allocated and committed
+// to another key, reusing the leaf slot would make the probe reclaim the
+// other key's live value.
+//
+// Then the values (batched-metadata crash repair): a crash can leave a
+// committed value referenced by no leaf slot at all, e.g. a delete whose
+// value-bit clear was deferred while the (eager) p_value clear persisted.
+// Free those. On an eager-metadata image every committed value is
+// referenced somewhere, so that part is a no-op.
 void Hart::sweep_orphaned_values() {
   static obs::Counter& orphans_freed = obs::Registry::instance().counter(
       "hart_recover_orphan_values_total");
+  static obs::Counter& stale_refs_cleared = obs::Registry::instance().counter(
+      "hart_recover_stale_refs_cleared_total");
   std::unordered_set<uint64_t> referenced;
+  std::vector<uint64_t> free_refs;  // free leaf slots with a p_value
   const auto& lg = ep_->geom(epalloc::ObjType::kLeaf);
   for (const uint64_t c_off :
        ep_->chunk_offsets(epalloc::ObjType::kLeaf)) {
+    const uint64_t live = epalloc::ChunkHdr::bitmap(
+        arena_.ptr<epalloc::MemChunk>(c_off)->header);
     for (uint32_t i = 0; i < epalloc::kObjectsPerChunk; ++i) {
-      const auto* leaf = arena_.ptr<HartLeaf>(lg.object_off(c_off, i));
-      if (leaf->p_value != 0) referenced.insert(leaf->p_value);
+      const uint64_t off = lg.object_off(c_off, i);
+      const auto* leaf = arena_.ptr<HartLeaf>(off);
+      if (leaf->p_value == 0) continue;
+      if (((live >> i) & 1) != 0) {
+        referenced.insert(leaf->p_value);
+      } else {
+        free_refs.push_back(off);
+      }
     }
+  }
+  for (const uint64_t off : free_refs) {
+    const auto* leaf = arena_.ptr<HartLeaf>(off);
+    // The tail of a slot that never completed an insert may be torn, so
+    // the class tag is range-checked before it is used.
+    const bool pending =
+        leaf->val_class + 1 < epalloc::kNumObjTypes &&
+        !referenced.contains(leaf->p_value) &&
+        ep_->bit_is_set(value_class_of(leaf), leaf->p_value);
+    if (pending) {
+      referenced.insert(leaf->p_value);
+      continue;
+    }
+    stale_refs_cleared.inc();
+    hart_leaf_clear(arena_, off);
   }
   for (int t = 1; t < epalloc::kNumObjTypes; ++t) {
     const auto cls = static_cast<epalloc::ObjType>(t);

@@ -170,8 +170,9 @@ class Hart final : public common::Index {
   /// Redo/abort in-flight updates after a crash (Algorithm 3's recovery
   /// case analysis).
   void replay_update_logs();
-  /// Free committed values no leaf slot references (batched-metadata crash
-  /// repair; a no-op on eager-metadata images). Runs after the leaf walk.
+  /// Clear stale value references left in free leaf slots, then free
+  /// committed values no leaf slot references (batched-metadata crash
+  /// repair). Runs after the leaf walk.
   void sweep_orphaned_values();
 
   // ---- optimistic read path (ISSUE 5 tentpole) --------------------------

@@ -7,9 +7,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "hart/hart.h"
+#include "hart/verify.h"
 
 namespace hart::core {
 namespace {
@@ -224,21 +226,100 @@ TEST(Hart, MemoryUsageTracksBothTiers) {
 }
 
 TEST(Hart, PersistCallsPerInsertAreBounded) {
-  // Selective persistence: a non-chunk-allocating insert costs a handful of
-  // persists (value, p_value, value bit, leaf fields, leaf bit), never one
-  // per touched internal node.
+  // Selective persistence pins the write schedules exactly, never one
+  // persist per touched internal node. On a warmed arena (no chunk is
+  // created or recycled): insert = value, whole leaf, value bit, leaf bit;
+  // update = new value, log record, new value bit, leaf tail, old value
+  // bit, log reclaim; delete = leaf bit, value bit, p_value clear.
   auto arena = make_arena();
   Hart h(*arena);
-  for (int i = 0; i < 200; ++i)  // warm up chunks
+  // Warm up: create the chunks, then free every other slot. No chunk can
+  // empty below, and quiesce() makes the retired slots reusable.
+  for (int i = 0; i < 400; ++i)
     h.insert("warm" + std::to_string(i), "v");
-  const uint64_t before = arena->stats().persist_calls.load();
+  for (int i = 0; i < 400; i += 2) h.remove("warm" + std::to_string(i));
+  h.quiesce();
+  auto persists_since = [&](uint64_t before) {
+    return arena->stats().persist_calls.load() - before;
+  };
+  uint64_t before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; ++i)
     h.insert("probe" + std::to_string(i), "v");
-  const uint64_t per_op = (arena->stats().persist_calls.load() - before) / 50;
-  EXPECT_LE(per_op, 7u);
-  EXPECT_GE(per_op, 5u);
+  EXPECT_EQ(persists_since(before), 4u * 50);
+
+  before = arena->stats().persist_calls.load();
+  for (int i = 0; i < 50; ++i)
+    h.update("probe" + std::to_string(i), "w");
+  EXPECT_EQ(persists_since(before), 6u * 50);
+
+  before = arena->stats().persist_calls.load();
+  for (int i = 0; i < 50; i += 2)
+    EXPECT_EQ(h.remove("probe" + std::to_string(i)), common::Status::kOk);
+  EXPECT_EQ(persists_since(before), 3u * 25);
+
+  // The inserted leaf is never read back from PM: an insert into an empty
+  // partition has no other leaf to compare against, so it reads no line.
+  const uint64_t lines = arena->stats().pm_read_lines.load();
+  for (int i = 0; i < 26; ++i)
+    h.insert(std::string{'Q', static_cast<char>('a' + i)} + "-fresh", "v");
+  EXPECT_EQ(arena->stats().pm_read_lines.load() - lines, 0u);
 }
 
+TEST(Hart, UpdateLogSlotsNeverStraddleACacheLine) {
+  // An update flushes its log record once, with PNewV stored last; that is
+  // failure-atomic only if the 32-byte slot lies inside one cache line.
+  for (const auto kind : {epalloc::AllocOptions::Kind::kStriped,
+                          epalloc::AllocOptions::Kind::kLegacy}) {
+    auto arena = make_arena();
+    Hart::Options opts;
+    opts.alloc.kind = kind;
+    Hart h(*arena, opts);
+    std::vector<epalloc::UpdateLog*> held;
+    for (int i = 0; i < 16; ++i) {
+      epalloc::UpdateLog* log = h.allocator().acquire_ulog();
+      const uint64_t off = arena->off(log);
+      EXPECT_EQ(off / pmem::kCacheLine,
+                (off + sizeof(*log) - 1) / pmem::kCacheLine)
+          << h.allocator().kind_name() << " slot at offset " << off;
+      held.push_back(log);
+    }
+    for (auto* log : held) h.allocator().reclaim_ulog(log);
+  }
+}
+
+TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
+  // A torn LogReclaim can leave {pleaf = 0, pnewv = stale}. Recovery must
+  // zero it: a surviving stale PNewV would complete the record of a later
+  // update in this slot before that update's own flush.
+  auto arena = make_arena();
+  {
+    Hart h(*arena);
+    h.insert("key", "old");
+    h.update("key", "new");
+  }
+  auto* root = arena->root<HartRoot>();
+  epalloc::UpdateLog& slot = root->ep.ulogs[1];
+  const uint64_t off = arena->off(&slot);
+  ASSERT_NE(off / pmem::kCacheLine, (off + sizeof(slot) - 1) / pmem::kCacheLine)
+      << "the crafted slot must be one that straddles a line";
+  slot.poldv = 0x1000;
+  slot.pnewv = 0x2000;
+  slot.meta = epalloc::UpdateLog::pack_meta(3, epalloc::ObjType::kValue8,
+                                            epalloc::ObjType::kValue8);
+  arena->trace_store(&slot, sizeof(slot));
+  arena->persist(&slot, sizeof(slot));
+
+  Hart h(*arena);  // recovery
+  EXPECT_EQ(slot.pleaf, 0u);
+  EXPECT_EQ(slot.poldv, 0u);
+  EXPECT_EQ(slot.pnewv, 0u);
+  EXPECT_EQ(slot.meta, 0u);
+  std::string v;
+  EXPECT_EQ(h.search("key", &v), common::Status::kOk);
+  EXPECT_EQ(v, "new");
+  const auto report = verify_hart_image(*arena);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
 
 TEST(Hart, MultiGetGroupsByPartition) {
   auto arena = make_arena();

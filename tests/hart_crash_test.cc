@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "hart/hart.h"
+#include "hart/verify.h"
 #include "workload/keygen.h"
 
 namespace hart::core {
@@ -228,6 +229,38 @@ TEST(HartCrash, MixedChurnSweepWithEviction) {
         EXPECT_EQ(got, v) << k;
       }
     }
+    expect_leak_free(h2, *arena);
+  }
+}
+
+TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
+  // An insert that crashes after its leaf flush but before its value bit
+  // leaves a free leaf slot whose p_value names a value slot recovery
+  // treats as free. If an update then re-allocates that value slot and an
+  // insert re-allocates the leaf slot, the stale-value probe must not
+  // reclaim the updated key's live value.
+  for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
+    auto arena = make_arena();
+    {
+      Hart h(*arena);
+      h.insert("k3", "old");
+      arena->arm_crash_after(crash_at);
+      try {
+        h.insert("k1", "v1");
+        arena->disarm_crash();
+      } catch (const pmem::CrashPoint&) {
+        arena->crash();
+      }
+    }
+    Hart h2(*arena);
+    ASSERT_EQ(h2.update("k3", "new"), common::Status::kOk);
+    ASSERT_EQ(h2.insert("k4", "v4"), common::Status::kInserted);
+    ASSERT_EQ(h2.insert("k5", "v5"), common::Status::kInserted);
+    std::string v;
+    ASSERT_EQ(h2.search("k3", &v), common::Status::kOk);
+    EXPECT_EQ(v, "new") << "crash_at=" << crash_at;
+    const VerifyReport rep = verify_hart_image(*arena);
+    EXPECT_TRUE(rep.ok()) << "crash_at=" << crash_at << ": " << rep.summary();
     expect_leak_free(h2, *arena);
   }
 }
