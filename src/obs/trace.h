@@ -2,20 +2,19 @@
 // exportable as chrome://tracing JSON.
 //
 // Each thread that records gets its own fixed-capacity ring (registered
-// with the Tracer on first use), so recording is a single unsynchronized
-// slot write — no lock, no allocation, and old events are overwritten
-// when the ring wraps. The global enabled flag is a relaxed atomic load,
-// so a disabled tracer costs one predictable branch per probe.
+// with the Tracer on first use), so recording is a seqlocked slot write —
+// no lock, no allocation, and old events are overwritten when the ring
+// wraps. The global enabled flag is a relaxed atomic load, so a disabled
+// tracer costs one predictable branch per probe.
 //
 // Export (chrome_json()) merges every ring, sorts by timestamp and emits
 // the Trace Event Format ("X" duration events / "i" instants) that
-// chrome://tracing and Perfetto load directly. Export is meant to run
-// after workers quiesced (hartd shutdown, bench atexit); a concurrent
-// export sees a consistent-enough view for a debugging timeline but may
-// tear an in-flight slot.
+// chrome://tracing and Perfetto load directly. Export may run while
+// threads record: it skips a slot that is mid-write rather than tear it.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +22,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/annotations.h"
@@ -60,36 +60,85 @@ struct TraceEvent {
                           // across threads and processes
 };
 
-/// Single-writer bounded ring. Readers (export, tests) take a snapshot in
-/// record order, oldest first; once full, each push evicts the oldest.
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                  sizeof(TraceEvent) % sizeof(uint64_t) == 0,
+              "TraceRing copies events as whole words");
+
+/// Single-writer bounded ring that other threads may snapshot while it is
+/// being written. Readers (export, tests) take a snapshot in record order,
+/// oldest first; once full, each push evicts the oldest.
+///
+/// Every slot is a seqlock. The writer of push index i sets the slot's
+/// sequence to the odd 2i+1, stores the event's words as release atomics,
+/// then publishes the even 2i+2 with release. A reader keeps slot i only
+/// when it saw exactly 2i+2 both before and after copying the words, so a
+/// snapshot skips a slot that is mid-write or was overwritten during the
+/// copy instead of returning a torn event. All shared state is atomic: the
+/// ring is race-free by construction, and on x86 its release stores and
+/// acquire loads compile to plain moves.
 class TraceRing {
  public:
-  explicit TraceRing(size_t capacity) : ev_(capacity == 0 ? 1 : capacity) {}
+  explicit TraceRing(size_t capacity)
+      : slots_(capacity == 0 ? 1 : capacity) {}
 
   void push(const TraceEvent& e) {
-    ev_[static_cast<size_t>(head_ % ev_.size())] = e;
-    ++head_;
+    const uint64_t h = head_.load(std::memory_order_relaxed);  // one writer
+    Slot& s = slots_[static_cast<size_t>(h % slots_.size())];
+    uint64_t w[kWords];
+    std::memcpy(w, &e, sizeof(e));
+    s.seq.store(2 * h + 1, std::memory_order_relaxed);
+    // Release: a reader that sees any of these words also sees the odd
+    // sequence stored above.
+    for (size_t i = 0; i < kWords; ++i)
+      s.w[i].store(w[i], std::memory_order_release);
+    s.seq.store(2 * h + 2, std::memory_order_release);
+    head_.store(h + 1, std::memory_order_release);
   }
 
-  [[nodiscard]] size_t capacity() const { return ev_.size(); }
-  [[nodiscard]] uint64_t pushed() const { return head_; }
+  [[nodiscard]] size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] uint64_t pushed() const {
+    return head_.load(std::memory_order_acquire);
+  }
   [[nodiscard]] size_t size() const {
-    return head_ < ev_.size() ? static_cast<size_t>(head_) : ev_.size();
+    const uint64_t h = pushed();
+    return h < slots_.size() ? static_cast<size_t>(h) : slots_.size();
   }
 
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
     std::vector<TraceEvent> out;
-    const size_t n = size();
-    out.reserve(n);
-    const uint64_t first = head_ - n;
-    for (size_t i = 0; i < n; ++i)
-      out.push_back(ev_[static_cast<size_t>((first + i) % ev_.size())]);
+    const uint64_t h = pushed();
+    const uint64_t n = std::min<uint64_t>(h, slots_.size());
+    out.reserve(static_cast<size_t>(n));
+    TraceEvent e;
+    for (uint64_t i = h - n; i < h; ++i)
+      if (read(i, &e)) out.push_back(e);
     return out;
   }
 
  private:
-  std::vector<TraceEvent> ev_;
-  uint64_t head_ = 0;
+  static constexpr size_t kWords = sizeof(TraceEvent) / sizeof(uint64_t);
+
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> seq{0};  // 2i+1 while push i writes, 2i+2 after
+    std::atomic<uint64_t> w[kWords]{};
+  };
+
+  /// Copies push index `idx`'s event to *out; false when its slot is being
+  /// written or already holds a later event.
+  bool read(uint64_t idx, TraceEvent* out) const {
+    const Slot& s = slots_[static_cast<size_t>(idx % slots_.size())];
+    const uint64_t want = 2 * idx + 2;
+    if (s.seq.load(std::memory_order_acquire) != want) return false;
+    uint64_t w[kWords];
+    for (size_t i = 0; i < kWords; ++i)
+      w[i] = s.w[i].load(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != want) return false;
+    std::memcpy(out, w, sizeof(*out));
+    return true;
+  }
+
+  std::vector<Slot> slots_;
+  std::atomic<uint64_t> head_{0};  // pushes so far; written by the owner
 };
 
 class Tracer {
@@ -100,13 +149,13 @@ class Tracer {
   }
 
   /// Arm tracing; subsequent record() calls land in per-thread rings of
-  /// `ring_capacity` events (~48 B each). Resets any previous rings.
+  /// `ring_capacity` events (one 64 B slot each). Resets any previous rings.
   void enable(size_t ring_capacity = size_t{1} << 15) {
     common::MutexLock lk(mu_);
     rings_.clear();
     ring_capacity_ = ring_capacity;
     epoch_ = std::chrono::steady_clock::now();
-    ++gen_;
+    gen_.fetch_add(1, std::memory_order_release);
     on_.store(true, std::memory_order_release);
   }
 
@@ -249,22 +298,26 @@ class Tracer {
       TraceRing* ring = nullptr;
     };
     thread_local Slot slot;
+    // Lock-free on every record after the thread's first in a generation;
+    // mu_ guards registration only.
+    if (slot.ring != nullptr &&
+        slot.gen == gen_.load(std::memory_order_acquire))
+      return slot.ring;
     common::MutexLock lk(mu_);
-    if (slot.ring == nullptr || slot.gen != gen_) {
-      rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));
-      slot.ring = rings_.back().get();
-      slot.gen = gen_;
-    }
+    rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));
+    slot.ring = rings_.back().get();
+    slot.gen = gen_.load(std::memory_order_relaxed);
     return slot.ring;
   }
 
   mutable common::Mutex mu_;
   std::atomic<bool> on_{false};
   // Ring *contents* are single-writer (each ring belongs to one thread);
-  // mu_ guards only the registry of rings and the enable generation.
+  // mu_ guards only the registry of rings. The enable generation is
+  // bumped under mu_ and read lock-free by record().
   std::deque<std::unique_ptr<TraceRing>> rings_ GUARDED_BY(mu_);
   size_t ring_capacity_ GUARDED_BY(mu_) = size_t{1} << 15;
-  uint64_t gen_ GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> gen_{0};
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
 };

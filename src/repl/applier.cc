@@ -71,7 +71,11 @@ void FollowerApplier::apply(server::Request&& req, Ack ack) {
     batch_errors_.inc();
     server::Response r;
     r.status = server::Status::kBadRequest;
-    if (ack) ack(std::move(r));
+    if (ack) {
+      server::WakeList wake;
+      ack(std::move(r), wake);
+      wake.wake_all();
+    }
     return;
   }
 
@@ -105,7 +109,9 @@ void FollowerApplier::apply(server::Request&& req, Ack ack) {
     d.entries = 0;
     d.bytes = ctx->bytes;
     d.success = true;
-    batch_done(stream, seq, std::move(d));
+    server::WakeList wake;
+    batch_done(stream, seq, std::move(d), wake);
+    wake.wake_all();
     return;
   }
 
@@ -115,7 +121,10 @@ void FollowerApplier::apply(server::Request&& req, Ack ack) {
     sub.key = std::move(e.key);
     sub.value = std::move(e.value);
     sub.trace_id = e.trace_id;  // sampled ops stay sampled on this node
-    submit_(std::move(sub), [ctx](server::Response resp) {
+    // The entry ack runs inside the shard worker's batch: a released
+    // REPL_BATCH ack joins that batch's wake list.
+    submit_(std::move(sub), [ctx](server::Response resp,
+                                  server::WakeList& wake) {
       if (entry_ok(resp.status)) {
         store_max(&ctx->epoch, resp.epoch);
       } else {
@@ -144,7 +153,7 @@ void FollowerApplier::apply(server::Request&& req, Ack ack) {
         d.ack = std::move(ctx->ack);
         d.entries = ctx->entries;
         d.bytes = ctx->bytes;
-        ctx->self->batch_done(ctx->stream, ctx->seq, std::move(d));
+        ctx->self->batch_done(ctx->stream, ctx->seq, std::move(d), wake);
       }
     });
   }
@@ -157,7 +166,7 @@ void FollowerApplier::drop_inflight(StreamState* st, uint64_t seq) {
 }
 
 void FollowerApplier::batch_done(uint32_t stream, uint64_t seq,
-                                 DoneEntry&& done) {
+                                 DoneEntry&& done, server::WakeList& wake) {
   std::vector<DoneEntry> to_fire;
   {
     common::MutexLock lk(mu_);
@@ -199,7 +208,7 @@ void FollowerApplier::batch_done(uint32_t stream, uint64_t seq,
     }
   }
   for (DoneEntry& d : to_fire) {
-    if (d.ack) d.ack(std::move(d.resp));
+    if (d.ack) d.ack(std::move(d.resp), wake);
   }
 }
 

@@ -20,13 +20,16 @@
 
 #include "common/annotations.h"
 #include "obs/counters.h"
+#include "server/ack.h"
 #include "server/proto.h"
 
 namespace hart::repl {
 
 class FollowerApplier {
  public:
-  using Ack = std::function<void(server::Response)>;
+  /// The REPL_BATCH request's ack; fired with the wake list of whoever
+  /// completes the batch (see server::Ack).
+  using Ack = server::Ack;
   /// Routes one replicated write into the follower's shard path. MUST
   /// invoke the ack exactly once, even on refusal (queue closed, shard
   /// failed) — the applier counts acks to detect batch completion.
@@ -82,8 +85,10 @@ class FollowerApplier {
   };
 
   /// All entry fences for (stream, seq) completed; stash and release in
-  /// order.
-  void batch_done(uint32_t stream, uint64_t seq, DoneEntry&& done);
+  /// order. Released acks queue their waiters on `wake`, which the caller
+  /// drains.
+  void batch_done(uint32_t stream, uint64_t seq, DoneEntry&& done,
+                  server::WakeList& wake);
   void drop_inflight(StreamState* st, uint64_t seq) REQUIRES(mu_);
 
   SubmitFn submit_;

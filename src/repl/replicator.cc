@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "obs/trace.h"
 
 namespace hart::repl {
@@ -141,10 +143,12 @@ void Replicator::on_batch(size_t shard_index, server::DurableBatch&& batch) {
     }
     work_cv_.notify_all();
   }
+  server::WakeList wake;
   for (auto& a : fire_now) {
     if (down_ && needed_ != 0) a.resp.status = server::Status::kShuttingDown;
-    if (a.ack) a.ack(std::move(a.resp));
+    if (a.ack) a.ack(std::move(a.resp), wake);
   }
+  wake.wake_all();
 }
 
 bool Replicator::drain(std::chrono::milliseconds timeout) {
@@ -196,10 +200,12 @@ void Replicator::shutdown() {
   }
   // These writes are locally durable but never met quorum: report
   // kShuttingDown so the client does not count them as acked.
+  server::WakeList wake;
   for (auto& a : orphans) {
     a.resp.status = server::Status::kShuttingDown;
-    if (a.ack) a.ack(std::move(a.resp));
+    if (a.ack) a.ack(std::move(a.resp), wake);
   }
+  wake.wake_all();
 }
 
 size_t Replicator::connected_links() const {
@@ -314,6 +320,7 @@ bool Replicator::link_connect(Link* l) {
 }
 
 void Replicator::link_loop(Link* l) {
+  common::set_thread_name("hartd-repl-" + std::to_string(l->index));
   uint32_t backoff = opts_.backoff_base_ms;
   while (!stop_.load(std::memory_order_acquire)) {
     // synced is only reset by this thread (in link_connect), so a dead
@@ -445,9 +452,13 @@ void Replicator::handle_response(Link* l, uint64_t id,
     }
     work_cv_.notify_all();
   }
+  // Quorum release: complete every released write first, then wake each
+  // waiting thread once.
+  server::WakeList wake;
   for (auto& a : to_fire) {
-    if (a.ack) a.ack(std::move(a.resp));
+    if (a.ack) a.ack(std::move(a.resp), wake);
   }
+  wake.wake_all();
   if (kill_link) l->session->force_disconnect();
 }
 

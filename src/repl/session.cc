@@ -5,6 +5,7 @@
 
 #include <utility>
 
+#include "common/thread_name.h"
 #include "server/net.h"
 
 namespace hart::repl {
@@ -63,6 +64,7 @@ void ReplSession::close() {
 
 void ReplSession::reader_loop(ResponseFn on_response,
                               DisconnectFn on_disconnect) {
+  common::set_thread_name("hartd-repl-rd");
   int fd;
   {
     common::MutexLock lk(fd_mu_);

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "obs/trace.h"
 #include "server/net.h"
 
@@ -108,26 +109,28 @@ void Client::trace_finish(uint64_t id) {
   traced_.erase(it);
 }
 
-void Client::complete(uint64_t id, Response resp) {
-  std::shared_ptr<common::CondVar> waiter;
-  {
-    common::MutexLock lk(mu_);
-    waiter = complete_locked(id, std::move(resp));
-  }
-  // Wake outside mu_: holding it across the wake-up stalls every sender.
-  if (waiter) waiter->notify_one();
+void Client::complete(uint64_t id, Response resp, WakeList& wake) {
+  common::MutexLock lk(mu_);
+  complete_locked(id, std::move(resp), wake);
 }
 
-std::shared_ptr<common::CondVar> Client::complete_locked(uint64_t id,
-                                                         Response resp) {
+void Client::fail_now(uint64_t id) {
+  WakeList wake;
+  complete(id, Response{Status::kNetError, {}, 0}, wake);
+  wake.wake_all();
+}
+
+void Client::complete_locked(uint64_t id, Response resp, WakeList& wake) {
   // Exactly-once: a request the dying reader already failed must not be
   // resurrected by a late transport error on the sender side.
-  if (pending_.erase(id) == 0) return nullptr;
+  if (pending_.erase(id) == 0) return;
   trace_finish(id);
   done_[id] = std::move(resp);
   if (pending_.empty()) all_done_.notify_all();
+  // The waiter wakes when the completer drains `wake`, outside mu_:
+  // holding mu_ across the wake-up would stall every sender.
   const auto w = waiters_.find(id);
-  return w == waiters_.end() ? nullptr : w->second;
+  if (w != waiters_.end()) wake.add(w->second);
 }
 
 bool Client::try_reconnect() {
@@ -179,14 +182,15 @@ uint64_t Client::send(Request req) {
   if (local_ != nullptr) {
     // Hartd::submit invokes the ack even when shutting down, so every id
     // completes exactly once.
-    local_->submit(std::move(req),
-                   [this, id](Response r) { complete(id, std::move(r)); });
+    local_->submit(std::move(req), [this, id](Response r, WakeList& wake) {
+      complete(id, std::move(r), wake);
+    });
     return id;
   }
   // A dying reader fails only the ids pending when it died; this one was
   // inserted after (broken_ was already set), so it is completed here.
   if (dead && !try_reconnect()) {
-    complete(id, Response{Status::kNetError, {}, 0});
+    fail_now(id);
     return id;
   }
   std::string frame;
@@ -196,15 +200,16 @@ uint64_t Client::send(Request req) {
     common::MutexLock wl(write_mu_);
     ok = fd_ >= 0 && send_all(fd_, frame.data(), frame.size());
   }
-  if (!ok) complete(id, Response{Status::kNetError, {}, 0});
+  if (!ok) fail_now(id);
   return id;
 }
 
 Response Client::wait(uint64_t id) {
   common::MutexLock lk(mu_);
   if (pending_.count(id) != 0) {
-    // Completion moves the id from pending_ to done_ and wakes only this
-    // waiter.
+    // Completion moves the id from pending_ to done_ and queues this
+    // waiter on the completer's wake list: it wakes once, after the
+    // completer has finished its whole batch of acks.
     const auto cv = std::make_shared<common::CondVar>();
     waiters_[id] = cv;
     while (pending_.count(id) != 0) cv->wait(mu_);
@@ -235,10 +240,11 @@ bool Client::connected() const {
 }
 
 void Client::reader_loop(int fd) {
+  common::set_thread_name("hart-client-rd");
   std::string buf;
   std::string body;
   std::vector<std::pair<uint64_t, Response>> arrived;
-  std::vector<std::shared_ptr<common::CondVar>> wake;
+  WakeList wake;
   char chunk[4096];
   bool bad = false;
   while (!bad) {
@@ -261,12 +267,10 @@ void Client::reader_loop(int fd) {
     {
       common::MutexLock lk(mu_);
       for (auto& [id, resp] : arrived)
-        if (auto w = complete_locked(id, std::move(resp)))
-          wake.push_back(std::move(w));
+        complete_locked(id, std::move(resp), wake);
     }
     arrived.clear();
-    for (auto& w : wake) w->notify_one();
-    wake.clear();
+    wake.wake_all();
   }
   // Stream is gone (server died, protocol error, or dtor shut the
   // socket): fail every in-flight request now — the next send() may
@@ -276,10 +280,9 @@ void Client::reader_loop(int fd) {
     broken_ = true;
     const std::vector<uint64_t> lost(pending_.begin(), pending_.end());
     for (const uint64_t id : lost)
-      if (auto w = complete_locked(id, Response{Status::kNetError, {}, 0}))
-        wake.push_back(std::move(w));
+      complete_locked(id, Response{Status::kNetError, {}, 0}, wake);
   }
-  for (auto& w : wake) w->notify_one();
+  wake.wake_all();
 }
 
 Response Client::put(std::string key, std::string value) {

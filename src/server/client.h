@@ -112,12 +112,16 @@ class Client {
 
  private:
   void reader_loop(int fd);
-  void complete(uint64_t id, Response resp);
-  /// Move a pending id to done_ (waking wait_all once nothing is
-  /// pending) and return the condition variable of the thread waiting for
-  /// it, if any. The caller notifies it after releasing mu_. A non-pending
-  /// id is ignored.
-  std::shared_ptr<common::CondVar> complete_locked(uint64_t id, Response resp)
+  /// Complete `id` and queue its waiter, if any, on `wake`; the caller
+  /// drains `wake` after its last completion, outside mu_.
+  void complete(uint64_t id, Response resp, WakeList& wake);
+  /// Complete `id` on this thread (a send-side transport error) and wake
+  /// its waiter.
+  void fail_now(uint64_t id);
+  /// Move a pending id to done_ (waking wait_all once nothing is pending)
+  /// and queue the condition variable of the thread waiting for it, if
+  /// any, on `wake`. A non-pending id is ignored.
+  void complete_locked(uint64_t id, Response resp, WakeList& wake)
       REQUIRES(mu_);
   /// Stamp a sampled request and remember its span start (under mu_).
   void trace_start(uint64_t id, Request* req) REQUIRES(mu_);
@@ -158,8 +162,8 @@ class Client {
   std::unordered_set<uint64_t> pending_ GUARDED_BY(mu_);
   std::unordered_map<uint64_t, Response> done_ GUARDED_BY(mu_);
   /// The condition variable of the one thread blocked in wait(id). Shared
-  /// so a completer can notify it after releasing mu_, even if the waiter
-  /// has already returned.
+  /// so a completer's wake list can notify it after releasing mu_, even if
+  /// the waiter has already returned.
   std::unordered_map<uint64_t, std::shared_ptr<common::CondVar>> waiters_
       GUARDED_BY(mu_);
 };

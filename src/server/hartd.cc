@@ -119,11 +119,14 @@ Hartd::Hartd(const Options& opts)
     // shard count. The submit contract — ack exactly once, even on
     // refusal — is what the applier's completion counting relies on.
     applier_ = std::make_unique<repl::FollowerApplier>(
-        [this](Request&& r, repl::FollowerApplier::Ack ack) {
+        [this](Request&& r, Shard::Ack ack) {
           Shard& s = *shards_[shard_of(r.key)];
           Shard::Ack copy = ack;
-          if (!s.submit(std::move(r), std::move(copy)))
-            ack(Response{Status::kShuttingDown, {}, 0});
+          if (!s.submit(std::move(r), std::move(copy))) {
+            WakeList wake;
+            ack(Response{Status::kShuttingDown, {}, 0}, wake);
+            wake.wake_all();
+          }
         });
   }
 
@@ -139,8 +142,16 @@ Hartd::Hartd(const Options& opts)
 Hartd::~Hartd() { shutdown(); }
 
 bool Hartd::submit(Request req, Shard::Ack ack) {
+  // Inline answers and refusals complete on this thread: fire the ack,
+  // then wake the waiter it queued, if any.
+  auto answer = [&ack](Response r) {
+    if (!ack) return;
+    WakeList wake;
+    ack(std::move(r), wake);
+    wake.wake_all();
+  };
   if (down_.load(std::memory_order_acquire)) {
-    if (ack) ack(Response{Status::kShuttingDown, {}, 0});
+    answer(Response{Status::kShuttingDown, {}, 0});
     return false;
   }
   // Dispatcher-side trace sampling: stamp every Nth unsampled KV request
@@ -173,7 +184,7 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
       const size_t cut = r.value.rfind('\n', kMaxStatsPayload);
       r.value.resize(cut == std::string::npos ? kMaxStatsPayload : cut + 1);
     }
-    if (ack) ack(std::move(r));
+    answer(std::move(r));
     return true;
   }
   // Replication control plane (DESIGN.md §9): these never touch a shard
@@ -185,7 +196,7 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
       applier_->apply(std::move(req), std::move(ack));
       return true;
     }
-    if (ack) ack(Response{Status::kNotPrimary, {}, 0});
+    answer(Response{Status::kNotPrimary, {}, 0});
     return true;
   }
   if (req.op == OpCode::kReplAck) {
@@ -193,7 +204,7 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
     r.status = encode_repl_positions(repl_positions(), &r.value)
                    ? Status::kOk
                    : Status::kBadRequest;
-    if (ack) ack(std::move(r));
+    answer(std::move(r));
     return true;
   }
   if (req.op == OpCode::kPromote) {
@@ -204,7 +215,7 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
     r.status = encode_repl_positions(repl_positions(), &r.value)
                    ? Status::kOk
                    : Status::kBadRequest;
-    if (ack) ack(std::move(r));
+    answer(std::move(r));
     return true;
   }
   // Dispatcher read fast path: HART's optimistic read protocol makes a
@@ -213,15 +224,15 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
   // group-commit batch. kMget/kScan span shards and are always answered
   // here; kGet only when the fast path is enabled (see Options).
   if (req.op == OpCode::kMget) {
-    if (ack) ack(serve_mget(req));
+    answer(serve_mget(req));
     return true;
   }
   if (req.op == OpCode::kScan) {
-    if (ack) ack(serve_scan(req));
+    answer(serve_scan(req));
     return true;
   }
   if (req.op == OpCode::kGet && fastpath_gets_) {
-    if (ack) ack(serve_get(req));
+    answer(serve_get(req));
     return true;
   }
   // Role gate: only a primary accepts client writes. Followers (and a
@@ -230,7 +241,7 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
   // from the replication stream.
   if (is_write(req.op) && !promo_.accepts_writes()) {
     write_rejected_counter().inc();
-    if (ack) ack(Response{Status::kNotPrimary, {}, 0});
+    answer(Response{Status::kNotPrimary, {}, 0});
     return true;
   }
   // Bloom short-circuit for queued GETs (the kGet fast path is off — the
@@ -240,12 +251,12 @@ bool Hartd::submit(Request req, Shard::Ack ack) {
   if (req.op == OpCode::kGet &&
       !shards_[shard_of(req.key)]->bloom_may_contain(req.key)) {
     bloom_negative_counter().inc();
-    if (ack) ack(Response{Status::kNotFound, {}, 0});
+    answer(Response{Status::kNotFound, {}, 0});
     return true;
   }
   Shard& s = *shards_[shard_of(req.key)];
   if (!s.submit(std::move(req), ack)) {
-    if (ack) ack(Response{Status::kShuttingDown, {}, 0});
+    answer(Response{Status::kShuttingDown, {}, 0});
     return false;
   }
   return true;
@@ -275,7 +286,8 @@ void Hartd::drain_shard_queues() {
   for (auto& s : shards_) {
     Request ping;
     ping.op = OpCode::kPing;
-    if (!s->submit(std::move(ping), [arrive](Response) { arrive(); }))
+    if (!s->submit(std::move(ping),
+                   [arrive](Response, WakeList&) { arrive(); }))
       arrive();
   }
   common::MutexLock lk(latch->mu);
@@ -389,13 +401,12 @@ Response Hartd::execute(Request req) {
     Response resp GUARDED_BY(mu);
   };
   auto sync = std::make_shared<Sync>();
-  submit(std::move(req), [sync](Response r) {
-    {
-      common::MutexLock lk(sync->mu);
-      sync->resp = std::move(r);
-      sync->done = true;
-    }
-    sync->cv.notify_one();
+  submit(std::move(req), [sync](Response r, WakeList& wake) {
+    common::MutexLock lk(sync->mu);
+    sync->resp = std::move(r);
+    sync->done = true;
+    // Aliasing pointer: keeps the Sync alive until the wake fires.
+    wake.add(std::shared_ptr<common::CondVar>(sync, &sync->cv));
   });
   common::MutexLock lk(sync->mu);
   while (!sync->done) sync->cv.wait(sync->mu);

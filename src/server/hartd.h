@@ -11,6 +11,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "repl/applier.h"
@@ -108,6 +110,18 @@ class Hartd {
   /// with kShuttingDown when the service is already draining.
   /// Returns false in that case.
   bool submit(Request req, Shard::Ack ack);
+
+  /// submit() for a completion callback that queues no waiter: `done`
+  /// receives just the response.
+  template <class F>
+    requires std::is_invocable_v<F&, Response>
+  bool submit(Request req, F done) {
+    return submit(std::move(req),
+                  Shard::Ack([done = std::move(done)](Response r,
+                                                      WakeList&) mutable {
+                    done(std::move(r));
+                  }));
+  }
 
   /// Synchronous convenience wrapper around submit().
   Response execute(Request req);

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_name.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -147,12 +149,16 @@ void Shard::apply(Pending* p) {
 }
 
 void Shard::worker() {
+  common::set_thread_name("hartd-shard-" + std::to_string(opts_.index));
 #ifdef __linux__
   // Deferred-latency batch stalls are tens of µs; the default 50 µs timer
   // slack would round every one of them up. 1 µs keeps the model honest.
   ::prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
 #endif
   std::vector<Pending> batch;
+  // Waiters the batch's acks completed; drained once per batch, after the
+  // last ack, so each waiting thread wakes once per batch, not per ack.
+  WakeList wake;
   // Per-batch latency staging: one mutex acquisition per batch (not per
   // op) merges these into hists_ for scrapers.
   std::array<common::LatencyHistogram, ShardHistograms::kOps> local_op;
@@ -299,8 +305,11 @@ void Shard::worker() {
           }
         }
       }
-      if (p.ack) p.ack(std::move(p.resp));
+      if (p.ack) p.ack(std::move(p.resp), wake);
     }
+    // Every response of the batch — refusals of a crashed batch included —
+    // is complete; only now wake the threads waiting on them.
+    wake.wake_all();
     if (sink && !durable.entries.empty()) {
       durable.epoch = epoch;
       opts_.batch_sink(opts_.index, std::move(durable));

@@ -17,6 +17,7 @@
 #include "common/histogram.h"
 #include "hart/hart.h"
 #include "pmem/arena.h"
+#include "server/ack.h"
 #include "server/proto.h"
 #include "server/queue.h"
 
@@ -91,14 +92,15 @@ inline Status wire_status(common::Status s) {
 /// batch's group-commit fence completed on the worker thread: the entries
 /// in apply order, the fence epoch, and — when the shard runs with
 /// deferred write acks (quorum ack policy) — the write acks the sink now
-/// owns and must fire exactly once when the ack policy is satisfied.
+/// owns and must fire exactly once when the ack policy is satisfied, with
+/// a wake list of its own that it drains after its last ack.
 /// Reads, refused requests and failed writes are always acked by the shard
 /// itself and never appear here.
 struct DurableBatch {
   uint64_t epoch = 0;
   std::vector<ReplEntry> entries;
   struct DeferredAck {
-    std::function<void(Response)> ack;
+    Ack ack;
     Response resp;
     uint64_t trace_id = 0;  // nonzero: record a quorum_ack span on release
   };
@@ -108,8 +110,9 @@ struct DurableBatch {
 class Shard {
  public:
   /// Completion callback. Invoked exactly once per submitted request, from
-  /// the shard worker (or from submit() itself when already shut down).
-  using Ack = std::function<void(Response)>;
+  /// the shard worker, which completes every response of a batch before it
+  /// drains the batch's wake list: each waiting thread wakes once per batch.
+  using Ack = server::Ack;
 
   /// Post-fence replication hook, called on the worker thread with every
   /// batch that durably applied at least one write.

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "obs/counters.h"
 #include "server/net.h"
 
@@ -43,6 +44,7 @@ TcpServer::TcpServer(Hartd& db, uint16_t port) : db_(db) {
 TcpServer::~TcpServer() { stop(); }
 
 void TcpServer::accept_loop() {
+  common::set_thread_name("hartd-accept");
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -114,6 +116,7 @@ void TcpServer::close_conn(Conn& conn) {
 }
 
 void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
+  common::set_thread_name("hartd-conn");
   std::string buf;
   std::string body;
   char chunk[4096];
@@ -138,7 +141,9 @@ void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
         respond(*conn, id, Response{Status::kProtocolError, {}, 0});
         continue;
       }
-      db_.submit(std::move(req), [conn, id](Response resp) {
+      // No thread waits on a TCP ack: the response goes to the socket
+      // (or, inside this chunk, to the connection's held output).
+      db_.submit(std::move(req), [conn, id](Response resp, WakeList&) {
         respond(*conn, id, resp);
       });
     }

@@ -9,12 +9,16 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/thread_name.h"
 #include "server/client.h"
 #include "server/stats.h"
 #include "server/tcp.h"
@@ -470,6 +474,199 @@ TEST(HartdStats, StatsWorksOverTcpAndAfterMoreWrites) {
   EXPECT_NE(b.find("hartd_ops_total 100\n"), std::string::npos)
       << "ops total not monotonic across scrapes";
   EXPECT_NE(b.find("hartd_live_keys 100\n"), std::string::npos);
+}
+
+
+// ---- completion contract: one wake per waiter per shard batch ------------
+
+// A one-shot gate: the shard worker blocks in an ack until the test opens
+// it, so requests submitted meanwhile queue up and form the next batch.
+struct Gate {
+  common::Mutex mu;
+  common::CondVar cv;
+  bool entered GUARDED_BY(mu) = false;
+  bool open GUARDED_BY(mu) = false;
+
+  void block() {
+    common::MutexLock lk(mu);
+    entered = true;
+    cv.notify_all();
+    while (!open) cv.wait(mu);
+  }
+  void wait_entered() {
+    common::MutexLock lk(mu);
+    while (!entered) cv.wait(mu);
+  }
+  void release() {
+    common::MutexLock lk(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+TEST(ShardWakeTest, BatchFiresEveryAckBeforeItsFirstWake) {
+  Shard::Options so;
+  so.arena.size = size_t{32} << 20;
+  so.batch_size = 32;
+  Shard shard(so);
+  Gate gate;
+  ASSERT_TRUE(shard.submit({OpCode::kPing, {}, {}},
+                           [&gate](Response, WakeList&) { gate.block(); }));
+  gate.wait_entered();
+
+  // K writes queue behind the stalled ping: they form one batch. Each
+  // ack marks its request done and queues that request's waiter.
+  constexpr int kWrites = 8;
+  struct Probe {
+    common::Mutex mu;
+    int acks GUARDED_BY(mu) = 0;
+    int blocked GUARDED_BY(mu) = 0;
+    std::vector<bool> done GUARDED_BY(mu) = std::vector<bool>(kWrites);
+    std::vector<int> acks_at_wake GUARDED_BY(mu) =
+        std::vector<int>(kWrites, -1);
+  } probe;
+  std::vector<std::shared_ptr<common::CondVar>> cvs;
+  for (int i = 0; i < kWrites; ++i)
+    cvs.push_back(std::make_shared<common::CondVar>());
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(shard.submit(
+        {OpCode::kPut, "w" + std::to_string(i), "v"},
+        [&probe, &cvs, i](Response r, WakeList& wake) {
+          EXPECT_EQ(r.status, Status::kOk);
+          common::MutexLock lk(probe.mu);
+          probe.done[i] = true;
+          ++probe.acks;
+          wake.add(cvs[i]);
+        }));
+  }
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWrites; ++i) {
+    waiters.emplace_back([&probe, &cvs, i] {
+      common::MutexLock lk(probe.mu);
+      ++probe.blocked;
+      while (!probe.done[i]) cvs[i]->wait(probe.mu);
+      probe.acks_at_wake[i] = probe.acks;
+    });
+  }
+  // Release the worker only once every waiter sleeps on its request.
+  for (;;) {
+    {
+      common::MutexLock lk(probe.mu);
+      if (probe.blocked == kWrites) break;
+    }
+    std::this_thread::yield();
+  }
+  gate.release();
+  for (auto& t : waiters) t.join();
+  common::MutexLock lk(probe.mu);
+  for (int i = 0; i < kWrites; ++i)
+    EXPECT_EQ(probe.acks_at_wake[i], kWrites)
+        << "waiter " << i << " woke before its batch's last ack";
+}
+
+TEST(ClientTest, WaitOnOldestIdReturnsWithItsWholeBatchComplete) {
+  Hartd db(small_opts(1));
+  Client cl(db);
+  Gate stall;
+  Gate mid;
+  db.submit({OpCode::kPing, {}, {}}, [&stall](Response) { stall.block(); });
+  stall.wait_entered();
+  // One batch: the client's oldest write, a foreign write whose ack holds
+  // the worker mid-batch, then the client's remaining writes. A waiter
+  // woken by its own ack alone would see the later ones still pending.
+  std::vector<uint64_t> ids{cl.send({OpCode::kPut, "c0", "v"})};
+  db.submit({OpCode::kPut, "mid", "v"}, [&mid](Response) { mid.block(); });
+  for (int i = 1; i < 8; ++i)
+    ids.push_back(cl.send({OpCode::kPut, "c" + std::to_string(i), "v"}));
+  std::thread releaser([&] {
+    // Let the main thread block in wait(ids[0]) first: a waiter that
+    // arrives after its id completed never sleeps, so nothing is checked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stall.release();
+    mid.wait_entered();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    mid.release();
+  });
+  EXPECT_EQ(cl.wait(ids[0]).status, Status::kOk);
+  EXPECT_EQ(cl.outstanding(), 0u);
+  for (size_t i = 1; i < ids.size(); ++i)
+    EXPECT_EQ(cl.wait(ids[i]).status, Status::kOk);
+  releaser.join();
+}
+
+TEST(ClientTest, CrashMidBatchFailsALaterWaiterWithoutHanging) {
+  Hartd::Options o = small_opts(1);
+  o.shadow = true;  // crash simulation
+  Hartd db(o);
+  Client cl(db);
+  Gate stall;
+  db.submit({OpCode::kPing, {}, {}}, [&stall](Response) { stall.block(); });
+  stall.wait_entered();
+  // The batch's first persist throws: its first write fails on the crash
+  // point, every later one is refused by the failed shard.
+  db.shard(0).arena().arm_crash_after(1);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 8; ++i)
+    ids.push_back(cl.send({OpCode::kPut, "x" + std::to_string(i), "v"}));
+  Response last;
+  std::thread waiter([&] { last = cl.wait(ids.back()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stall.release();
+  waiter.join();
+  EXPECT_EQ(last.status, Status::kShardFailed);
+  for (size_t i = 0; i + 1 < ids.size(); ++i)
+    EXPECT_EQ(cl.wait(ids[i]).status, Status::kShardFailed);
+  EXPECT_TRUE(db.shard(0).failed());
+}
+
+// ---- thread names ----------------------------------------------------------
+
+// Names of this process's live threads, from /proc/self/task/*/comm.
+std::multiset<std::string> thread_names() {
+  std::multiset<std::string> names;
+  for (const auto& t :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream f(t.path() / "comm");
+    std::string name;
+    if (std::getline(f, name)) names.insert(name);
+  }
+  return names;
+}
+
+TEST(ThreadNamesTest, EveryLongLivedThreadNamesItsRole) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc thread list on this platform";
+  Hartd::Options fo = small_opts(2);
+  fo.follow = true;
+  Hartd follower(fo);
+  TcpServer srv(follower, 0);
+  Hartd::Options po = small_opts(1);
+  po.replicate_to = {"127.0.0.1:" + std::to_string(srv.port())};
+  Hartd primary(po);
+  Client cl("127.0.0.1", srv.port());
+  ASSERT_EQ(cl.ping().status, Status::kOk);
+
+  // Threads name themselves as they start, so poll briefly.
+  const std::vector<std::string> roles{
+      "hartd-shard-0", "hartd-shard-1", "hartd-accept", "hartd-conn",
+      "hart-client-rd", "hartd-repl-0", "hartd-repl-rd"};
+  std::vector<std::string> missing = roles;
+  for (int i = 0; i < 500 && !missing.empty(); ++i) {
+    const auto names = thread_names();
+    missing.clear();
+    for (const auto& r : roles)
+      if (names.count(r) == 0) missing.push_back(r);
+    if (!missing.empty())
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (const auto& r : missing) ADD_FAILURE() << "no thread named " << r;
+  // One connection thread per live stream: the client's and the
+  // replication link's.
+  EXPECT_GE(thread_names().count("hartd-conn"), 2u);
+  for (const auto& n : thread_names())
+    EXPECT_LE(n.size(), common::kMaxThreadName);
+  primary.shutdown();
+  srv.stop();
 }
 
 }  // namespace
