@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/thread_name.h"
@@ -71,15 +73,18 @@ void ReplSession::reader_loop(ResponseFn on_response,
     fd = fd_;
   }
   std::string buf;
-  std::string body;
+  size_t pos = 0;
+  std::string_view body;
   char chunk[4096];
   for (;;) {
     const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
     if (r <= 0) break;
+    buf.erase(0, pos);  // the frames decoded from the previous chunk
+    pos = 0;
     buf.append(chunk, static_cast<size_t>(r));
     bool bad = false;
     for (;;) {
-      const int got = server::take_frame(&buf, &body);
+      const int got = server::take_frame(buf, &pos, &body);
       if (got < 0) {
         bad = true;
         break;

@@ -1,12 +1,16 @@
 #include "server/client.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/thread_name.h"
@@ -14,6 +18,32 @@
 #include "server/net.h"
 
 namespace hart::server {
+
+/// One TCP connection: its socket, the eventfd that schedules a flush, and
+/// the encoded frames not yet written. Senders that captured it and the
+/// connection's I/O thread share it, so both fds close only when the last
+/// of them lets go.
+struct Client::Stream {
+  explicit Stream(int sock) : fd(sock), wake_fd(::eventfd(0, EFD_CLOEXEC)) {}
+  ~Stream() {
+    ::close(fd);
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+  Stream(const Stream&) = delete;
+  Stream& operator=(const Stream&) = delete;
+
+  const int fd;
+  const int wake_fd;  // eventfd; -1 when it could not be created
+  common::Mutex mu;
+  common::CondVar space;  // send() waits here while `out` is full
+  std::string out GUARDED_BY(mu);
+  /// A sender signalled wake_fd and the I/O thread has not yet taken
+  /// `out`: later senders append without signalling.
+  bool flush_scheduled GUARDED_BY(mu) = false;
+  /// The I/O thread is gone: frames queued here are dropped, never
+  /// written to a later stream, and senders blocked on the cap return.
+  bool dead GUARDED_BY(mu) = false;
+};
 
 Client::Client(Hartd& local) : local_(&local) {}
 
@@ -41,14 +71,9 @@ Client::Client(std::vector<Endpoint> endpoints, ReconnectPolicy policy)
       backoff = std::min(backoff * 2, policy_.backoff_max_ms);
     }
   }
-  if (fd < 0)
+  if (fd < 0 || !start_stream(fd))
     throw std::runtime_error("cannot connect to " + endpoints_[0].host + ":" +
                              std::to_string(endpoints_[0].port));
-  {
-    common::MutexLock wl(write_mu_);
-    fd_ = fd;
-  }
-  spawn_reader(fd);
 }
 
 Client::~Client() {
@@ -60,18 +85,28 @@ Client::~Client() {
   }
   closing_.store(true, std::memory_order_release);
   common::MutexLock rl(reconnect_mu_);
+  std::shared_ptr<Stream> s;
   {
-    common::MutexLock wl(write_mu_);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    common::MutexLock lk(mu_);
+    s = stream_;
   }
-  if (reader_.joinable()) reader_.join();  // fails outstanding with kNetError
-  common::MutexLock wl(write_mu_);
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
+  // Queued frames are dropped and every outstanding id fails with
+  // kNetError as the I/O thread exits; the fds close with the last
+  // reference to the stream.
+  ::shutdown(s->fd, SHUT_RDWR);
+  if (io_.joinable()) io_.join();
 }
 
-void Client::spawn_reader(int fd) {
-  reader_ = std::thread([this, fd] { reader_loop(fd); });
+bool Client::start_stream(int fd) {
+  auto s = std::make_shared<Stream>(fd);
+  if (s->wake_fd < 0) return false;  // ~Stream closes fd
+  {
+    common::MutexLock lk(mu_);
+    stream_ = s;
+    broken_ = false;
+  }
+  io_ = std::thread([this, s] { io_loop(*s); });
+  return true;
 }
 
 void Client::set_trace_sampling(uint64_t every_n) {
@@ -121,8 +156,8 @@ void Client::fail_now(uint64_t id) {
 }
 
 void Client::complete_locked(uint64_t id, Response resp, WakeList& wake) {
-  // Exactly-once: a request the dying reader already failed must not be
-  // resurrected by a late transport error on the sender side.
+  // Exactly-once: a request the dying I/O thread already failed must not
+  // be resurrected by send()'s own failure path.
   if (pending_.erase(id) == 0) return;
   trace_finish(id);
   done_[id] = std::move(resp);
@@ -140,27 +175,15 @@ bool Client::try_reconnect() {
     common::MutexLock lk(mu_);
     if (!broken_) return true;  // another sender already repaired it
   }
-  // broken_ is set at the tail of reader_loop, so the join is bounded.
-  if (reader_.joinable()) reader_.join();
+  // broken_ is set at the tail of io_loop, so the join is bounded.
+  if (io_.joinable()) io_.join();
   uint32_t backoff = policy_.backoff_base_ms;
   for (size_t a = 0; a < policy_.max_attempts; ++a) {
     if (closing_.load(std::memory_order_acquire)) return false;
     const Endpoint& ep = endpoints_[ep_index_ % endpoints_.size()];
     ++ep_index_;
     const int fd = dial(ep.host, ep.port);
-    if (fd >= 0) {
-      {
-        common::MutexLock wl(write_mu_);
-        if (fd_ >= 0) ::close(fd_);
-        fd_ = fd;
-      }
-      {
-        common::MutexLock lk(mu_);
-        broken_ = false;
-      }
-      spawn_reader(fd);
-      return true;
-    }
+    if (fd >= 0 && start_stream(fd)) return true;
     if (a + 1 < policy_.max_attempts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       backoff = std::min(backoff * 2, policy_.backoff_max_ms);
@@ -171,13 +194,13 @@ bool Client::try_reconnect() {
 
 uint64_t Client::send(Request req) {
   uint64_t id;
-  bool dead;
+  std::shared_ptr<Stream> s;
   {
     common::MutexLock lk(mu_);
     id = next_id_++;
-    dead = broken_;
     trace_start(id, &req);
     pending_.insert(id);
+    if (!broken_) s = stream_;
   }
   if (local_ != nullptr) {
     // Hartd::submit invokes the ack even when shutting down, so every id
@@ -187,20 +210,33 @@ uint64_t Client::send(Request req) {
     });
     return id;
   }
-  // A dying reader fails only the ids pending when it died; this one was
-  // inserted after (broken_ was already set), so it is completed here.
-  if (dead && !try_reconnect()) {
+  // A dying I/O thread fails only the ids pending when it died; this one
+  // was inserted after (broken_ was already set), so it is either sent on
+  // a fresh stream or completed here. An id that a later stream's death
+  // already failed is not sent: the client never silently retries.
+  if (s == nullptr && try_reconnect()) {
+    common::MutexLock lk(mu_);
+    if (!broken_ && pending_.count(id) != 0) s = stream_;
+  }
+  if (s == nullptr) {
     fail_now(id);
     return id;
   }
-  std::string frame;
-  encode_request(id, req, &frame);
-  bool ok;
+  bool signal = false;
   {
-    common::MutexLock wl(write_mu_);
-    ok = fd_ >= 0 && send_all(fd_, frame.data(), frame.size());
+    common::MutexLock lk(s->mu);
+    while (s->out.size() >= kMaxQueuedBytes && !s->dead) s->space.wait(s->mu);
+    // A dead stream's I/O thread has failed (or is failing) this id.
+    if (s->dead) return id;
+    encode_request(id, req, &s->out);
+    signal = !s->flush_scheduled;
+    s->flush_scheduled = true;
   }
-  if (!ok) fail_now(id);
+  if (signal) {
+    // Cannot fail: the counter is far below its overflow point.
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t w = ::write(s->wake_fd, &one, sizeof(one));
+  }
   return id;
 }
 
@@ -224,7 +260,7 @@ Response Client::wait(uint64_t id) {
 
 void Client::wait_all() {
   common::MutexLock lk(mu_);
-  // A dying reader fails every pending id, so this always terminates even
+  // A dying I/O thread fails every pending id, so this always terminates even
   // without reconnection.
   while (!pending_.empty()) all_done_.wait(mu_);
 }
@@ -239,21 +275,63 @@ bool Client::connected() const {
   return !broken_;
 }
 
-void Client::reader_loop(int fd) {
-  common::set_thread_name("hart-client-rd");
-  std::string buf;
-  std::string body;
+void Client::io_loop(Stream& s) {
+  common::set_thread_name("hart-client-io");
+  std::string in;  // received bytes; frames decode in place
+  size_t pos = 0;
+  std::string_view body;
+  std::string batch;  // frames taken from s.out, written from `written` on
+  size_t written = 0;
   std::vector<std::pair<uint64_t, Response>> arrived;
   WakeList wake;
   char chunk[4096];
-  bool bad = false;
-  while (!bad) {
-    const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+  pollfd fds[2] = {{s.fd, POLLIN, 0}, {s.wake_fd, POLLIN, 0}};
+  for (;;) {
+    // While a batch is partly written, wait for the socket to drain, not
+    // for more frames: s.out fills up to its cap and blocks senders. The
+    // socket stays polled for input, so responses keep draining and a
+    // server blocked writing them can go back to reading requests.
+    fds[0].events = batch.empty() ? POLLIN : POLLIN | POLLOUT;
+    fds[1].events = batch.empty() ? POLLIN : 0;
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    const bool took = (fds[1].revents & POLLIN) != 0;
+    if (took) {
+      // Reset the eventfd before taking the queue: a sender that queues
+      // after the take finds no flush scheduled and signals again.
+      uint64_t signals = 0;
+      if (::read(s.wake_fd, &signals, sizeof(signals)) != sizeof(signals))
+        break;
+      {
+        common::MutexLock lk(s.mu);
+        batch.swap(s.out);
+        s.flush_scheduled = false;
+      }
+      s.space.notify_all();
+    }
+    if (!batch.empty() && (took || (fds[0].revents & POLLOUT) != 0)) {
+      // A failed write ends the stream like a hang-up: every pending id
+      // fails below.
+      const ssize_t w =
+          send_some(s.fd, batch.data() + written, batch.size() - written);
+      if (w < 0) break;
+      written += static_cast<size_t>(w);
+      if (written == batch.size()) {
+        batch.clear();
+        written = 0;
+      }
+    }
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    const ssize_t r = ::recv(s.fd, chunk, sizeof(chunk), 0);
     if (r <= 0) break;
-    buf.append(chunk, static_cast<size_t>(r));
+    in.erase(0, pos);  // the frames decoded from the previous chunk
+    pos = 0;
+    in.append(chunk, static_cast<size_t>(r));
     // Decode the whole chunk first, then complete it under one mu_.
     int got;
-    while ((got = take_frame(&buf, &body)) > 0) {
+    while ((got = take_frame(in, &pos, &body)) > 0) {
       uint64_t id = 0;
       Response resp;
       if (!decode_response(body.data(), body.size(), &id, &resp)) {
@@ -262,19 +340,30 @@ void Client::reader_loop(int fd) {
       }
       arrived.emplace_back(id, std::move(resp));
     }
-    bad = got < 0;  // malformed stream
-    if (arrived.empty()) continue;
-    {
-      common::MutexLock lk(mu_);
-      for (auto& [id, resp] : arrived)
-        complete_locked(id, std::move(resp), wake);
+    if (!arrived.empty()) {
+      {
+        common::MutexLock lk(mu_);
+        for (auto& [id, resp] : arrived)
+          complete_locked(id, std::move(resp), wake);
+      }
+      arrived.clear();
+      wake.wake_all();
     }
-    arrived.clear();
-    wake.wake_all();
+    if (got < 0) break;  // malformed stream
   }
-  // Stream is gone (server died, protocol error, or dtor shut the
-  // socket): fail every in-flight request now — the next send() may
-  // reconnect, and a fresh stream will never answer these ids.
+  // Stream is gone (server died, protocol error, failed write, or the
+  // dtor shut the socket): drop its queued frames — they must never reach
+  // a later stream — and release blocked senders. Clearing the queue
+  // alone is not enough: more blocked senders than the cap holds would
+  // refill it and block again. Then fail every in-flight request: the
+  // next send() may reconnect, and a fresh stream will never answer
+  // these ids.
+  {
+    common::MutexLock lk(s.mu);
+    s.dead = true;
+    s.out.clear();
+  }
+  s.space.notify_all();
   {
     common::MutexLock lk(mu_);
     broken_ = true;

@@ -2,8 +2,10 @@
 // pipelined asynchronous API, over either transport:
 //
 //   * in-process: Client(hartd) submits straight into the shard queues;
-//   * TCP:        Client(host, port) speaks the proto.h framing; a reader
-//                 thread matches responses to requests by id.
+//   * TCP:        Client(host, port) speaks the proto.h framing; one I/O
+//                 thread per connection is the only writer of its socket
+//                 (senders queue encoded frames and it writes each burst
+//                 with one send) and matches responses to requests by id.
 //
 // Pipelining: send() returns immediately with a request id; wait(id)
 // blocks for that response. Responses complete out of submission order
@@ -94,7 +96,12 @@ class Client {
   // ---- pipelined API ----------------------------------------------------
   /// Fire a request without waiting; returns its id. On a dead transport
   /// the request completes immediately with kNetError (still waitable).
+  /// Over TCP the encoded frame is queued for the connection's I/O thread,
+  /// which writes everything queued since its last write in one send();
+  /// send() blocks while kMaxQueuedBytes are already queued.
   uint64_t send(Request req);
+  /// Cap on the encoded bytes a TCP stream queues for its I/O thread.
+  static constexpr size_t kMaxQueuedBytes = size_t{256} << 10;
   /// Block until the response for `id` arrives, then return it. Each id
   /// may be waited on once.
   Response wait(uint64_t id);
@@ -111,11 +118,16 @@ class Client {
   void set_trace_sampling(uint64_t every_n);
 
  private:
-  void reader_loop(int fd);
+  struct Stream;  // one TCP connection and its write queue (client.cc)
+
+  /// The connection's I/O thread: writes `s`'s queued frames when
+  /// signalled, completes the responses of each received chunk, and on
+  /// any error fails every pending id with kNetError.
+  void io_loop(Stream& s);
   /// Complete `id` and queue its waiter, if any, on `wake`; the caller
   /// drains `wake` after its last completion, outside mu_.
   void complete(uint64_t id, Response resp, WakeList& wake);
-  /// Complete `id` on this thread (a send-side transport error) and wake
+  /// Complete `id` on this thread (no live stream to send it on) and wake
   /// its waiter.
   void fail_now(uint64_t id);
   /// Move a pending id to done_ (waking wait_all once nothing is pending)
@@ -130,24 +142,23 @@ class Client {
   /// Redial the endpoint list per the policy; true when a fresh stream is
   /// up. Serialized so concurrent senders share one repair.
   bool try_reconnect();
-  void spawn_reader(int fd) REQUIRES(reconnect_mu_);
+  /// Make `fd` the live stream and start its I/O thread; false (with `fd`
+  /// closed) when its eventfd cannot be created.
+  bool start_stream(int fd) REQUIRES(reconnect_mu_);
 
   Hartd* local_ = nullptr;  // in-process transport when non-null
   std::vector<Endpoint> endpoints_;
   ReconnectPolicy policy_;
   std::atomic<bool> closing_{false};
 
-  common::Mutex reconnect_mu_;  // serializes redial + reader respawn
+  common::Mutex reconnect_mu_;  // serializes redial + I/O thread respawn
   size_t ep_index_ GUARDED_BY(reconnect_mu_) = 0;
-  std::thread reader_;  // joined/respawned only under reconnect_mu_
-
-  common::Mutex write_mu_;  // serializes TCP frame writes
-  int fd_ GUARDED_BY(write_mu_) = -1;  // TCP transport when >= 0
 
   mutable common::Mutex mu_;
   common::CondVar all_done_;  // wait_all(): signalled when pending_ empties
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   bool broken_ GUARDED_BY(mu_) = false;  // TCP stream died
+  std::shared_ptr<Stream> stream_ GUARDED_BY(mu_);  // the latest stream
   uint64_t trace_every_ GUARDED_BY(mu_) = 0;  // sample every Nth; 0 = off
   uint64_t trace_tick_ GUARDED_BY(mu_) = 0;
   uint64_t trace_base_ GUARDED_BY(mu_) = 0;  // per-client trace-id salt
@@ -156,7 +167,7 @@ class Client {
     uint64_t start_ns = 0;  // tracer-epoch span start
   };
   std::unordered_map<uint64_t, TraceStart> traced_ GUARDED_BY(mu_);
-  /// Ids sent but not yet completed. A dying reader fails every pending
+  /// Ids sent but not yet completed. A dying I/O thread fails every pending
   /// id into done_ with kNetError, so waiters never strand across a
   /// reconnect (a fresh stream has no memory of the old one's requests).
   std::unordered_set<uint64_t> pending_ GUARDED_BY(mu_);
@@ -166,6 +177,9 @@ class Client {
   /// the waiter has already returned.
   std::unordered_map<uint64_t, std::shared_ptr<common::CondVar>> waiters_
       GUARDED_BY(mu_);
+  /// The live stream's I/O thread; declared last because it uses every
+  /// member above. Joined and respawned only under reconnect_mu_.
+  std::thread io_;
 };
 
 }  // namespace hart::server

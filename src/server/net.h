@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -26,6 +27,18 @@ inline bool send_all(int fd, const char* p, size_t n) {
     n -= static_cast<size_t>(w);
   }
   return true;
+}
+
+/// Non-blocking send() of as much of the buffer as the socket takes now.
+/// Returns the bytes written (0 when the socket buffer is full), or -1 on
+/// any error (the caller abandons the stream).
+inline ssize_t send_some(int fd, const char* p, size_t n) {
+  for (;;) {
+    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w >= 0) return w;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    if (errno != EINTR) return -1;
+  }
 }
 
 /// One TCP dial with TCP_NODELAY set; -1 on any failure. "localhost" and

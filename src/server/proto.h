@@ -537,16 +537,22 @@ inline bool decode_repl_positions(std::string_view payload,
   return true;
 }
 
-/// Pull one complete frame body out of a receive buffer.
-/// Returns +1 and moves the body into `*body` when a full frame is
-/// buffered, 0 when more bytes are needed, -1 on a malformed stream.
-inline int take_frame(std::string* buf, std::string* body) {
-  if (buf->size() < 4) return 0;
-  const uint32_t len = detail::read_int<uint32_t>(buf->data());
+/// Find the next complete frame in a receive buffer without copying it.
+/// `*pos` is the read cursor: on +1, `*body` views the frame body inside
+/// `buf` and `*pos` has moved past the frame; 0 means more bytes are
+/// needed, -1 a malformed stream. The views stay valid until `buf`
+/// changes, so a reader decodes a whole recv() worth of frames in place
+/// and then drops the consumed prefix once (`buf.erase(0, pos)`), not
+/// once per frame.
+inline int take_frame(std::string_view buf, size_t* pos,
+                      std::string_view* body) {
+  const size_t avail = buf.size() - *pos;
+  if (avail < 4) return 0;
+  const uint32_t len = detail::read_int<uint32_t>(buf.data() + *pos);
   if (len > kMaxFrameBody) return -1;
-  if (buf->size() < 4 + static_cast<size_t>(len)) return 0;
-  body->assign(buf->data() + 4, len);
-  buf->erase(0, 4 + static_cast<size_t>(len));
+  if (avail < 4 + static_cast<size_t>(len)) return 0;
+  *body = buf.substr(*pos + 4, len);
+  *pos += 4 + static_cast<size_t>(len);
   return 1;
 }
 

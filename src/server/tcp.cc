@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/thread_name.h"
@@ -118,15 +119,18 @@ void TcpServer::close_conn(Conn& conn) {
 void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
   common::set_thread_name("hartd-conn");
   std::string buf;
-  std::string body;
+  size_t pos = 0;
+  std::string_view body;
   char chunk[4096];
   for (;;) {
     const ssize_t r = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (r <= 0) return;  // EOF, error, or shutdown() from stop()
+    buf.erase(0, pos);  // the frames decoded from the previous chunk
+    pos = 0;
     buf.append(chunk, static_cast<size_t>(r));
     hold(*conn);
     int got;
-    while ((got = take_frame(&buf, &body)) > 0) {
+    while ((got = take_frame(buf, &pos, &body)) > 0) {
       uint64_t id = 0;
       Request req;
       if (!decode_request(body.data(), body.size(), &id, &req)) {

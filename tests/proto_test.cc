@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/proto.h"
@@ -18,9 +19,10 @@ namespace {
 void roundtrip_request(uint64_t id, const Request& in) {
   std::string buf;
   encode_request(id, in, &buf);
-  std::string body;
-  ASSERT_EQ(take_frame(&buf, &body), 1);
-  EXPECT_TRUE(buf.empty());
+  size_t pos = 0;
+  std::string_view body;
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
+  EXPECT_EQ(pos, buf.size());
 
   uint64_t got_id = 0;
   Request out;
@@ -53,13 +55,14 @@ TEST(ProtoTest, RequestRoundTripBinaryAndEmpty) {
 TEST(ProtoTest, DecodeRequestRejectsBadOpByte) {
   std::string buf;
   encode_request(1, {OpCode::kPut, "k", "v"}, &buf);
-  std::string body;
-  ASSERT_EQ(take_frame(&buf, &body), 1);
+  size_t pos = 0;
+  std::string_view body;
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
 
   uint64_t id;
   Request r;
   for (uint8_t bad : {uint8_t{0}, uint8_t{12}, uint8_t{0xff}}) {
-    std::string mangled = body;
+    std::string mangled(body);
     mangled[8] = static_cast<char>(bad);  // op byte
     EXPECT_FALSE(decode_request(mangled.data(), mangled.size(), &id, &r))
         << "op byte " << int(bad) << " must be rejected";
@@ -69,8 +72,9 @@ TEST(ProtoTest, DecodeRequestRejectsBadOpByte) {
 TEST(ProtoTest, DecodeRequestRejectsLengthMismatch) {
   std::string buf;
   encode_request(9, {OpCode::kPut, "key", "value"}, &buf);
-  std::string body;
-  ASSERT_EQ(take_frame(&buf, &body), 1);
+  size_t pos = 0;
+  std::string_view body;
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
 
   uint64_t id;
   Request r;
@@ -80,7 +84,7 @@ TEST(ProtoTest, DecodeRequestRejectsLengthMismatch) {
         << "truncated to " << n << " bytes";
   }
   // Trailing garbage: declared key/value lengths no longer match the body.
-  std::string padded = body + "x";
+  std::string padded = std::string(body) + "x";
   EXPECT_FALSE(decode_request(padded.data(), padded.size(), &id, &r));
 }
 
@@ -94,8 +98,9 @@ TEST(ProtoTest, ResponseRoundTripAllStatuses) {
   for (Status st : statuses) {
     std::string buf;
     encode_response(id, {st, "payload", 42}, &buf);
-    std::string body;
-    ASSERT_EQ(take_frame(&buf, &body), 1);
+    size_t pos = 0;
+    std::string_view body;
+    ASSERT_EQ(take_frame(buf, &pos, &body), 1);
 
     uint64_t got_id = 0;
     Response out;
@@ -111,12 +116,13 @@ TEST(ProtoTest, ResponseRoundTripAllStatuses) {
 TEST(ProtoTest, DecodeResponseRejectsBadStatusAndTruncation) {
   std::string buf;
   encode_response(5, {Status::kOk, "vv", 9}, &buf);
-  std::string body;
-  ASSERT_EQ(take_frame(&buf, &body), 1);
+  size_t pos = 0;
+  std::string_view body;
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
 
   uint64_t id;
   Response r;
-  std::string mangled = body;
+  std::string mangled(body);
   mangled[8] = 9;  // one past kProtocolError
   EXPECT_FALSE(decode_response(mangled.data(), mangled.size(), &id, &r));
   for (size_t n = 0; n < body.size(); ++n)
@@ -128,12 +134,13 @@ TEST(ProtoTest, TakeFrameNeedsMoreBytes) {
   encode_request(1, {OpCode::kPing, "", ""}, &buf);
   const std::string full = buf;
 
-  // Every strict prefix yields 0 (need more) and leaves the buffer alone.
+  // Every strict prefix yields 0 (need more) and leaves the cursor alone.
   for (size_t n = 0; n < full.size(); ++n) {
-    std::string partial = full.substr(0, n);
-    std::string body;
-    EXPECT_EQ(take_frame(&partial, &body), 0) << "prefix " << n;
-    EXPECT_EQ(partial, full.substr(0, n));
+    const std::string partial = full.substr(0, n);
+    size_t pos = 0;
+    std::string_view body;
+    EXPECT_EQ(take_frame(partial, &pos, &body), 0) << "prefix " << n;
+    EXPECT_EQ(pos, 0u);
   }
 }
 
@@ -142,19 +149,52 @@ TEST(ProtoTest, TakeFrameExtractsBackToBackFrames) {
   encode_request(1, {OpCode::kPut, "a", "1"}, &buf);
   encode_request(2, {OpCode::kGet, "b", ""}, &buf);
 
-  std::string body;
-  ASSERT_EQ(take_frame(&buf, &body), 1);
+  size_t pos = 0;
+  std::string_view body;
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
   uint64_t id;
   Request r;
   ASSERT_TRUE(decode_request(body.data(), body.size(), &id, &r));
   EXPECT_EQ(id, 1u);
   EXPECT_EQ(r.key, "a");
 
-  ASSERT_EQ(take_frame(&buf, &body), 1);
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
   ASSERT_TRUE(decode_request(body.data(), body.size(), &id, &r));
   EXPECT_EQ(id, 2u);
   EXPECT_EQ(r.op, OpCode::kGet);
-  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_EQ(take_frame(buf, &pos, &body), 0);
+
+  // Many frames in one buffer, decoded in place, then one that arrives
+  // split across two appends: the reader compacts between appends the way
+  // a recv() loop does, and the split frame decodes whole.
+  buf.clear();
+  pos = 0;
+  constexpr uint64_t kFrames = 1000;
+  for (uint64_t i = 1; i <= kFrames; ++i)
+    encode_request(i, {OpCode::kPut, "k" + std::to_string(i), "v"}, &buf);
+  std::string split;
+  encode_request(kFrames + 1, {OpCode::kPut, "split-key", "split-value"},
+                 &split);
+  const size_t cut = split.size() / 2;
+  buf.append(split, 0, cut);
+  for (uint64_t i = 1; i <= kFrames; ++i) {
+    ASSERT_EQ(take_frame(buf, &pos, &body), 1) << "frame " << i;
+    ASSERT_TRUE(decode_request(body.data(), body.size(), &id, &r));
+    EXPECT_EQ(id, i);
+    EXPECT_EQ(r.key, "k" + std::to_string(i));
+  }
+  EXPECT_EQ(take_frame(buf, &pos, &body), 0);
+  buf.erase(0, pos);
+  pos = 0;
+  EXPECT_EQ(buf, split.substr(0, cut));
+  buf.append(split, cut);
+  ASSERT_EQ(take_frame(buf, &pos, &body), 1);
+  ASSERT_TRUE(decode_request(body.data(), body.size(), &id, &r));
+  EXPECT_EQ(id, kFrames + 1);
+  EXPECT_EQ(r.key, "split-key");
+  EXPECT_EQ(r.value, "split-value");
+  EXPECT_EQ(pos, buf.size());
 }
 
 TEST(ProtoTest, TakeFrameRejectsOversizedLength) {
@@ -162,8 +202,9 @@ TEST(ProtoTest, TakeFrameRejectsOversizedLength) {
   const uint32_t huge = kMaxFrameBody + 1;
   buf.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
   buf.append("whatever");
-  std::string body;
-  EXPECT_EQ(take_frame(&buf, &body), -1);
+  size_t pos = 0;
+  std::string_view body;
+  EXPECT_EQ(take_frame(buf, &pos, &body), -1);
 }
 
 TEST(ProtoTest, TakeFrameAcceptsMaxSizedLength) {
@@ -171,8 +212,9 @@ TEST(ProtoTest, TakeFrameAcceptsMaxSizedLength) {
   const uint32_t len = kMaxFrameBody;
   buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
   buf.append(kMaxFrameBody, 'x');
-  std::string body;
-  EXPECT_EQ(take_frame(&buf, &body), 1);
+  size_t pos = 0;
+  std::string_view body;
+  EXPECT_EQ(take_frame(buf, &pos, &body), 1);
   EXPECT_EQ(body.size(), size_t{kMaxFrameBody});
 }
 

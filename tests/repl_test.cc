@@ -17,6 +17,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -474,12 +475,17 @@ bool read_response(int fd, uint64_t* id, Response* resp,
                    std::string* buf = nullptr) {
   std::string local;
   if (buf == nullptr) buf = &local;
-  std::string body;
   char tmp[512];
   while (true) {
-    const int got = take_frame(buf, &body);
+    size_t pos = 0;
+    std::string_view body;
+    const int got = take_frame(*buf, &pos, &body);
     if (got < 0) return false;
-    if (got > 0) return decode_response(body.data(), body.size(), id, resp);
+    if (got > 0) {
+      const bool ok = decode_response(body.data(), body.size(), id, resp);
+      buf->erase(0, pos);
+      return ok;
+    }
     const ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);
     if (n <= 0) return false;
     buf->append(tmp, static_cast<size_t>(n));

@@ -4,6 +4,12 @@
 // whole batched-persist path.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,12 +20,15 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/thread_name.h"
+#include "obs/trace.h"
 #include "server/client.h"
+#include "server/net.h"
 #include "server/stats.h"
 #include "server/tcp.h"
 
@@ -619,6 +628,217 @@ TEST(ClientTest, CrashMidBatchFailsALaterWaiterWithoutHanging) {
   EXPECT_TRUE(db.shard(0).failed());
 }
 
+// ---- TCP client write path, against a fake listener -----------------------
+
+/// A loopback listener that accepts connections and never answers unless
+/// the test writes to them. Its small receive buffer (inherited by every
+/// accepted socket) makes a peer that stops reading push back on the
+/// client after a few MB at most.
+class FakeListener {
+ public:
+  FakeListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int rcvbuf = 4096;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(fd_, 8), 0);
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~FakeListener() { ::close(fd_); }
+  FakeListener(const FakeListener&) = delete;
+  FakeListener& operator=(const FakeListener&) = delete;
+
+  [[nodiscard]] uint16_t port() const { return port_; }
+  int accept() { return ::accept(fd_, nullptr, nullptr); }
+
+ private:
+  int fd_ = -1;
+  uint16_t port_ = 0;
+};
+
+/// Pipelines 60 KB puts through `cl` from `threads` threads until told to
+/// stop or until `limit` sends have returned; `sent` counts the send()
+/// calls that returned.
+class Flooder {
+ public:
+  static constexpr size_t kFrameBytes = 60000;
+  explicit Flooder(Client& cl, uint64_t limit = UINT64_MAX, int threads = 1) {
+    for (int t = 0; t < threads; ++t) {
+      th_.emplace_back([this, &cl, limit] {
+        const std::string big(kFrameBytes, 'v');
+        while (!stop_.load() && sent.load() < limit) {
+          cl.send({OpCode::kPut, "k", big});
+          sent.fetch_add(1);
+        }
+      });
+    }
+  }
+  ~Flooder() { join(); }
+  Flooder(const Flooder&) = delete;
+  Flooder& operator=(const Flooder&) = delete;
+
+  /// Returns once `sent` has not moved for 300 ms: send() is blocked.
+  void wait_stalled() const {
+    uint64_t last = sent.load();
+    for (;;) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      const uint64_t now = sent.load();
+      if (now == last) return;
+      last = now;
+    }
+  }
+  void stop() { stop_.store(true); }
+  void join() {
+    for (auto& t : th_)
+      if (t.joinable()) t.join();
+  }
+
+  std::atomic<uint64_t> sent{0};
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> th_;
+};
+
+/// Reads what `fd` has buffered until `quiet_ms` pass without new bytes
+/// or `want` frames have arrived, and returns the request ids in order.
+std::vector<uint64_t> read_request_ids(int fd, size_t want, int quiet_ms) {
+  std::vector<uint64_t> ids;
+  std::string buf;
+  size_t pos = 0;
+  std::string_view body;
+  char chunk[65536];
+  while (ids.size() < want) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, quiet_ms) <= 0) break;
+    const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (r <= 0) break;
+    buf.erase(0, pos);
+    pos = 0;
+    buf.append(chunk, static_cast<size_t>(r));
+    while (take_frame(buf, &pos, &body) > 0) {
+      uint64_t id = 0;
+      Request req;
+      EXPECT_TRUE(decode_request(body.data(), body.size(), &id, &req));
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+// A peer that stops reading blocks send() once the client has queued its
+// cap (on top of the socket buffers); reading again releases it, and
+// every frame arrives exactly once, in send order.
+TEST(ClientWritePathTest, SendBlocksAtTheQueueCapUntilThePeerReads) {
+  FakeListener lis;
+  Client cl("127.0.0.1", lis.port());
+  const int peer = lis.accept();
+  ASSERT_GE(peer, 0);
+  constexpr uint64_t kFrames = 400;  // 24 MB: more than the socket buffers
+  Flooder flood(cl, kFrames);
+  flood.wait_stalled();
+  const uint64_t at_stall = flood.sent.load();
+  EXPECT_LT(at_stall, kFrames) << "send() never blocked";
+  EXPECT_GE(at_stall * Flooder::kFrameBytes, Client::kMaxQueuedBytes);
+
+  const std::vector<uint64_t> ids = read_request_ids(peer, kFrames, 5000);
+  flood.join();
+  EXPECT_EQ(flood.sent.load(), kFrames);
+  ASSERT_EQ(ids.size(), kFrames);
+  for (uint64_t i = 0; i < kFrames; ++i) EXPECT_EQ(ids[i], i + 1);
+
+  // The peer never answered: hanging up fails every id with kNetError.
+  ::close(peer);
+  for (uint64_t id = 1; id <= kFrames; ++id)
+    EXPECT_EQ(cl.wait(id).status, Status::kNetError);
+  EXPECT_EQ(cl.outstanding(), 0u);
+}
+
+// Frames still queued when their stream dies are dropped with it: they
+// fail with kNetError and are never written to the reconnected stream.
+// More senders are blocked on the full queue than the queue can hold, so
+// every one of them must be released by the stream's death itself.
+TEST(ClientWritePathTest, FrameQueuedForADeadStreamNeverReachesTheNextOne) {
+  FakeListener lis;
+  Client cl({{"127.0.0.1", lis.port()}}, ReconnectPolicy{.max_attempts = 3});
+  const int peer = lis.accept();
+  ASSERT_GE(peer, 0);
+  constexpr int kSenders = 8;
+  static_assert(kSenders * Flooder::kFrameBytes > Client::kMaxQueuedBytes);
+  Flooder flood(cl, UINT64_MAX, kSenders);
+  flood.wait_stalled();  // frames are queued in the client now
+  flood.stop();
+  // Hanging up with unread data resets the stream; the blocked sends
+  // return and the flooder exits.
+  ::close(peer);
+  flood.join();
+  const uint64_t last_old = flood.sent.load();
+  for (uint64_t id = 1; id <= last_old; ++id)
+    EXPECT_EQ(cl.wait(id).status, Status::kNetError) << "id " << id;
+  EXPECT_FALSE(cl.connected());
+
+  const uint64_t fresh = cl.send({OpCode::kPing, {}, {}});
+  EXPECT_GT(fresh, last_old);
+  const int peer2 = lis.accept();
+  ASSERT_GE(peer2, 0);
+  const std::vector<uint64_t> ids = read_request_ids(peer2, SIZE_MAX, 300);
+  EXPECT_EQ(ids, std::vector<uint64_t>{fresh});
+  std::string reply;
+  encode_response(fresh, {Status::kOk, {}, 0}, &reply);
+  ASSERT_TRUE(send_all(peer2, reply.data(), reply.size()));
+  EXPECT_EQ(cl.wait(fresh).status, Status::kOk);
+  ::close(peer2);
+}
+
+// Destroying a Client while megabytes of its frames are still on their
+// way to a peer that stopped reading returns promptly and fails every one
+// of them: each id completes exactly once, which records one "client"
+// trace span, and the peer answered none. The frames sit in the socket
+// buffers and, depending on how much room the kernel leaves, in the
+// client's own queue.
+TEST(ClientWritePathTest, DestroyWithQueuedFramesFailsThemAndDoesNotHang) {
+  obs::Tracer& tr = obs::Tracer::instance();
+  tr.enable();
+  FakeListener lis;
+  auto cl = std::make_unique<Client>("127.0.0.1", lis.port());
+  cl->set_trace_sampling(1);
+  const int peer = lis.accept();
+  ASSERT_GE(peer, 0);
+  uint64_t total = 0;
+  {
+    Flooder flood(*cl);
+    flood.wait_stalled();
+    flood.stop();
+    // Read just enough for the blocked send() to return, then stop
+    // reading again.
+    const uint64_t at_stall = flood.sent.load();
+    char chunk[4096];
+    while (flood.sent.load() == at_stall)
+      ASSERT_GT(::recv(peer, chunk, sizeof(chunk), 0), 0);
+    flood.join();
+    total = flood.sent.load();
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  cl.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  tr.disable();
+  size_t spans = 0;
+  std::set<uint64_t> traced;
+  for (const auto& e : tr.events()) {
+    if (std::string(e.name) != "client") continue;
+    ++spans;
+    traced.insert(e.trace_id);
+  }
+  EXPECT_EQ(spans, total);
+  EXPECT_EQ(traced.size(), total);
+  ::close(peer);
+}
+
 // ---- thread names ----------------------------------------------------------
 
 // Names of this process's live threads, from /proc/self/task/*/comm.
@@ -649,7 +869,7 @@ TEST(ThreadNamesTest, EveryLongLivedThreadNamesItsRole) {
   // Threads name themselves as they start, so poll briefly.
   const std::vector<std::string> roles{
       "hartd-shard-0", "hartd-shard-1", "hartd-accept", "hartd-conn",
-      "hart-client-rd", "hartd-repl-0", "hartd-repl-rd"};
+      "hart-client-io", "hartd-repl-0", "hartd-repl-rd"};
   std::vector<std::string> missing = roles;
   for (int i = 0; i < 500 && !missing.empty(); ++i) {
     const auto names = thread_names();
