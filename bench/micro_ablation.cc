@@ -15,7 +15,7 @@
 #include "bench/bench_common.h"
 #include "common/bloom.h"
 #include "common/histogram.h"
-#include "epalloc/epalloc.h"
+#include "epalloc/allocator.h"
 #include "hart/verify.h"
 #include "workload/mixes.h"
 #include "hart/hart_leaf.h"
@@ -39,11 +39,16 @@ void BM_EPAllocatorAllocFree(benchmark::State& state) {
   struct R {
     epalloc::EPRoot ep;
   };
-  epalloc::EPAllocator ep(arena, &arena.root<R>()->ep,
-                          sizeof(core::HartLeaf), &core::hart_leaf_probe,
-                          &core::hart_leaf_clear);
+  // One stripe, eager header persists: the paper's EPallocator.
+  epalloc::Allocator ep(arena, &arena.root<R>()->ep, sizeof(core::HartLeaf),
+                        &core::hart_leaf_probe, &core::hart_leaf_clear,
+                        {.stripes = 1, .batched_meta = false});
   for (auto _ : state) {
-    const uint64_t off = ep.ep_malloc(epalloc::ObjType::kLeaf);
+    uint64_t off = 0;
+    if (!ep.reserve(epalloc::ObjType::kLeaf, &off).ok()) {
+      state.SkipWithError("arena exhausted");
+      break;
+    }
     ep.commit(epalloc::ObjType::kLeaf, off);
     ep.free_object(epalloc::ObjType::kLeaf, off);
     benchmark::DoNotOptimize(off);

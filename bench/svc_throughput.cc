@@ -66,16 +66,18 @@ double svc_zipf() {  // Zipfian theta for the mixed-workload section
   return v != nullptr ? std::strtod(v, nullptr) : 0.99;
 }
 
+/// `alloc` defaults to the service's own allocator settings (auto stripes,
+/// batched chunk-header persists).
 SvcResult run_service(size_t shards, size_t batch,
                       const hart::pmem::LatencyConfig& lat,
-                      hart::epalloc::AllocOptions::Kind alloc_kind =
-                          hart::epalloc::AllocOptions::Kind::kAuto) {
+                      const hart::epalloc::AllocOptions& alloc =
+                          Hartd::Options{}.hart.alloc) {
   Hartd::Options o;
   o.shards = shards;
   o.batch_size = batch;
   o.latency = lat;
   o.arena_mb = 64;
-  o.hart.alloc.kind = alloc_kind;
+  o.hart.alloc = alloc;
   Hartd db(o);
 
   const size_t per_client = svc_ops();
@@ -308,14 +310,15 @@ int main(int argc, char** argv) {
   }
   mixed.print();
 
-  // Allocator ablation: the same Random-insert burst under the striped
-  // allocator (service default: chunk-header persists batched onto the
-  // epoch fence) vs the legacy single-instance EPAllocator (--legacy-alloc,
-  // one eager header persist per alloc/free). The metric that matters is
-  // PM metadata persists *per op* — the striped allocator amortizes a
-  // whole batch of header updates into one flush per dirty chunk line at
-  // the fence the service already pays for. Emitted as a machine-readable
-  // BENCH json line for the experiment harness.
+  // Allocator ablation: the same Random-insert burst under the service
+  // default (auto stripes, chunk-header persists batched onto the epoch
+  // fence) vs one stripe with eager persists (--alloc-stripes 1
+  // --eager-meta: the paper's EPallocator, one header persist per
+  // alloc/free). The metric that matters is PM metadata persists *per op*
+  // — batching amortizes a whole batch of header updates into one flush
+  // per dirty chunk line at the fence the service already pays for.
+  // Emitted as a machine-readable BENCH json line for the experiment
+  // harness.
   {
     using hart::epalloc::AllocOptions;
     auto& reg = hart::obs::Registry::instance();
@@ -324,19 +327,19 @@ int main(int argc, char** argv) {
     };
     struct Leg {
       const char* name;
-      AllocOptions::Kind kind;
+      AllocOptions alloc;
       double ops_per_sec = 0;
       uint64_t persists = 0;
       double per_op = 0;
-    } legs[] = {{"striped", AllocOptions::Kind::kStriped},
-                {"legacy", AllocOptions::Kind::kLegacy}};
+    } legs[] = {{"striped", Hartd::Options{}.hart.alloc},
+                {"eager_1stripe", {.stripes = 1, .batched_meta = false}}};
     const uint64_t deferred0 =
         reg.counter("epalloc_meta_persists_deferred_total").value();
     const uint64_t flushes0 =
         reg.counter("epalloc_meta_flush_batches_total").value();
     for (Leg& leg : legs) {
       const uint64_t before = meta_persists();
-      const SvcResult r = run_service(4, 32, lats[1], leg.kind);
+      const SvcResult r = run_service(4, 32, lats[1], leg.alloc);
       leg.persists = meta_persists() - before;
       leg.ops_per_sec = r.ops_per_sec;
       leg.per_op = static_cast<double>(leg.persists) /
@@ -361,7 +364,7 @@ int main(int argc, char** argv) {
         "\"ops\":%zu,"
         "\"striped\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
         "\"persists_per_op\":%.4f},"
-        "\"legacy\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
+        "\"eager_1stripe\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
         "\"persists_per_op\":%.4f},"
         "\"pm_meta_persist_reduction\":%.4f,"
         "\"meta_persists_deferred\":%llu,\"meta_flush_batches\":%llu}\n",

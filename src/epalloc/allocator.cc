@@ -1,24 +1,22 @@
-#include "epalloc/striped.h"
+#include "epalloc/allocator.h"
 
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <thread>
 
-#include "epalloc/epalloc.h"
 #include "obs/counters.h"
 
 namespace hart::epalloc {
 
 namespace {
-// Same registry entries as the legacy allocator (the Registry dedups by
-// name), plus the striping/batching tallies the ablation compares.
-struct StripedCounters {
+// HARTscope: process-wide allocator event tallies. Registry references
+// are resolved once (the map is node-based, references are stable) so a
+// hot-path bump is a single striped relaxed fetch_add.
+struct EpCounters {
   obs::Counter& ep_malloc;
   obs::Counter& commit;
   obs::Counter& release;
@@ -35,9 +33,9 @@ struct StripedCounters {
   obs::Counter& meta_deferred;
 };
 
-StripedCounters& striped_counters() {
+EpCounters& ep_counters() {
   auto& reg = obs::Registry::instance();
-  static StripedCounters c{
+  static EpCounters c{
       reg.counter("ep_malloc_total"),
       reg.counter("ep_commit_total"),
       reg.counter("ep_release_total"),
@@ -63,18 +61,27 @@ uint32_t thread_ordinal() {
       next.fetch_add(1, std::memory_order_relaxed);
   return mine;
 }
+
+/// Resolve AllocOptions::stripes: 0 = auto (min(hw threads, 8)), clamped
+/// to [1, kMaxStripes].
+uint32_t resolve_stripes(uint32_t n) {
+  if (n == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    n = hw == 0 ? 4 : (hw > 8 ? 8 : hw);
+  }
+  return n > AllocOptions::kMaxStripes ? AllocOptions::kMaxStripes : n;
+}
 }  // namespace
 
-StripedAllocator::StripedAllocator(pmem::Arena& arena, EPRoot* root,
-                                   uint32_t leaf_obj_size, LeafProbeFn probe,
-                                   LeafClearFn clear, uint32_t stripes,
-                                   bool batched_meta)
+Allocator::Allocator(pmem::Arena& arena, EPRoot* root, uint32_t leaf_obj_size,
+                     LeafProbeFn probe, LeafClearFn clear,
+                     const AllocOptions& opts)
     : arena_(arena),
       root_(root),
       probe_(probe),
       clear_(clear),
-      nstripes_(stripes == 0 ? 1 : stripes),
-      batched_(batched_meta),
+      nstripes_(resolve_stripes(opts.stripes)),
+      batched_(opts.batched_meta),
       ulog_slots_(line_contained_ulog_slots(arena.off(root->ulogs))) {
   types_[static_cast<int>(ObjType::kLeaf)].geom =
       TypeGeometry::for_obj_size(leaf_obj_size);
@@ -83,10 +90,10 @@ StripedAllocator::StripedAllocator(pmem::Arena& arena, EPRoot* root,
         value_class_size(static_cast<ObjType>(t)));
   for (auto& st : types_)
     for (uint32_t s = 0; s < nstripes_; ++s) st.stripes.emplace_back();
-  striped_counters().stripe_spawned.add(nstripes_);
+  ep_counters().stripe_spawned.add(nstripes_);
 }
 
-StripedAllocator::~StripedAllocator() {
+Allocator::~Allocator() {
   // Best-effort: make deferred header persists durable on clean teardown
   // (the service already fences via flush_epoch; this covers bare Hart
   // embedders). A CrashPoint here means a crash test is tearing down an
@@ -97,35 +104,35 @@ StripedAllocator::~StripedAllocator() {
   }
 }
 
-void StripedAllocator::persist_head(ObjType t) {
+void Allocator::persist_head(ObjType t) {
   arena_.trace_store(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
   arena_.persist(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
 }
 
-void StripedAllocator::make_available_locked(Stripe& s, uint64_t chunk_off,
-                                             ChunkState& cs) {
+void Allocator::make_available_locked(Stripe& s, uint64_t chunk_off,
+                                      ChunkState& cs) {
   if (!cs.in_avail) {
     cs.in_avail = true;
     s.avail.push_back(chunk_off);
   }
 }
 
-void StripedAllocator::mark_dirty_locked(Stripe& s, uint64_t chunk_off,
-                                         ChunkState& cs) {
-  striped_counters().meta_deferred.inc();
+void Allocator::mark_dirty_locked(Stripe& s, uint64_t chunk_off,
+                                  ChunkState& cs) {
+  ep_counters().meta_deferred.inc();
   if (!cs.dirty) {
     cs.dirty = true;
     s.dirty_chunks.push_back(chunk_off);
   }
 }
 
-uint64_t StripedAllocator::new_chunk_list_locked(TypeState& st, ObjType t) {
+uint64_t Allocator::new_chunk_list_locked(TypeState& st, ObjType t) {
   const TypeGeometry& g = st.geom;
   const uint64_t off = arena_.alloc(g.chunk_bytes, g.stride);
   auto* c = chunk_ptr(off);
-  // Zero + persist the whole chunk before linking, exactly like the legacy
-  // allocator (Alg. 2 lines 8-10): a crash before the head update leaves
-  // the chunk unreachable and the recovery reachability scan frees it.
+  // Zero + persist the whole chunk before linking (Alg. 2 lines 8-10): a
+  // crash before the head update leaves the chunk unreachable and the
+  // recovery reachability scan frees it.
   // List links always persist eagerly, even in batched mode — recovery
   // walks them before any flush_metadata could run.
   std::memset(c, 0, g.chunk_bytes);
@@ -135,12 +142,12 @@ uint64_t StripedAllocator::new_chunk_list_locked(TypeState& st, ObjType t) {
   arena_.persist(c, g.chunk_bytes);
   root_->heads[static_cast<int>(t)] = off;
   persist_head(t);
-  striped_counters().chunk_alloc.inc();
+  ep_counters().chunk_alloc.inc();
   return off;
 }
 
-bool StripedAllocator::try_reserve_in_stripe(TypeState& st, Stripe& s,
-                                             uint64_t* obj_off) {
+bool Allocator::try_reserve_in_stripe(TypeState& st, Stripe& s,
+                                      uint64_t* obj_off) {
   common::MutexLock lk(s.mu);
   while (!s.avail.empty()) {
     const uint64_t c_off = s.avail.back();
@@ -167,15 +174,15 @@ bool StripedAllocator::try_reserve_in_stripe(TypeState& st, Stripe& s,
   return false;
 }
 
-uint64_t StripedAllocator::reserve_impl(ObjType t) {
-  striped_counters().ep_malloc.inc();
+uint64_t Allocator::reserve_impl(ObjType t) {
+  ep_counters().ep_malloc.inc();
   TypeState& st = ts(t);
   uint64_t obj_off = 0;
   const uint32_t home = thread_ordinal() % nstripes_;
   for (uint32_t k = 0; k < nstripes_; ++k) {
     Stripe& s = st.stripes[(home + k) % nstripes_];
     if (try_reserve_in_stripe(st, s, &obj_off)) {
-      if (k != 0) striped_counters().stripe_steals.inc();
+      if (k != 0) ep_counters().stripe_steals.inc();
       break;
     }
   }
@@ -206,7 +213,7 @@ uint64_t StripedAllocator::reserve_impl(ObjType t) {
   if (t == ObjType::kLeaf && probe_ != nullptr) {
     const LeafValueRef ref = probe_(arena_, obj_off);
     if (ref.value_off != 0 && bit_is_set(ref.cls, ref.value_off)) {
-      striped_counters().stale_value_reclaim.inc();
+      ep_counters().stale_value_reclaim.inc();
       free_object(ref.cls, ref.value_off);
       recycle_chunk_of(ref.cls, ref.value_off);
       clear_(arena_, obj_off);
@@ -215,7 +222,7 @@ uint64_t StripedAllocator::reserve_impl(ObjType t) {
   return obj_off;
 }
 
-common::Status StripedAllocator::reserve(ObjType t, uint64_t* obj_off) {
+common::Status Allocator::reserve(ObjType t, uint64_t* obj_off) {
   try {
     *obj_off = reserve_impl(t);
   } catch (const std::bad_alloc&) {
@@ -224,8 +231,8 @@ common::Status StripedAllocator::reserve(ObjType t, uint64_t* obj_off) {
   return common::Status::kOk;
 }
 
-void StripedAllocator::commit(ObjType t, uint64_t obj_off) {
-  striped_counters().commit.inc();
+void Allocator::commit(ObjType t, uint64_t obj_off) {
+  ep_counters().commit.inc();
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
@@ -247,12 +254,12 @@ void StripedAllocator::commit(ObjType t, uint64_t obj_off) {
     mark_dirty_locked(s, c_off, cs);
   } else {
     arena_.persist(&c->header, sizeof(c->header));
-    striped_counters().pm_meta_persists.inc();
+    ep_counters().pm_meta_persists.inc();
   }
 }
 
-void StripedAllocator::release(ObjType t, uint64_t obj_off) {
-  striped_counters().release.inc();
+void Allocator::release(ObjType t, uint64_t obj_off) {
+  ep_counters().release.inc();
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
@@ -264,9 +271,9 @@ void StripedAllocator::release(ObjType t, uint64_t obj_off) {
   make_available_locked(s, c_off, it->second);
 }
 
-void StripedAllocator::free_slot_locked(TypeState& st, Stripe& s,
-                                        uint64_t obj_off, bool retire) {
-  striped_counters().free_obj.inc();
+void Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
+                                 bool retire) {
+  ep_counters().free_obj.inc();
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
   auto* c = chunk_ptr(c_off);
@@ -292,27 +299,27 @@ void StripedAllocator::free_slot_locked(TypeState& st, Stripe& s,
     mark_dirty_locked(s, c_off, cs);
   } else {
     arena_.persist(&c->header, sizeof(c->header));
-    striped_counters().pm_meta_persists.inc();
+    ep_counters().pm_meta_persists.inc();
   }
   if (!retire) make_available_locked(s, c_off, cs);
 }
 
-void StripedAllocator::free_object(ObjType t, uint64_t obj_off) {
+void Allocator::free_object(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   Stripe& s = stripe_for(st, st.geom.chunk_of(obj_off));
   common::MutexLock lk(s.mu);
   free_slot_locked(st, s, obj_off, /*retire=*/false);
 }
 
-void StripedAllocator::free_object_retired(ObjType t, uint64_t obj_off) {
+void Allocator::free_object_retired(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   Stripe& s = stripe_for(st, st.geom.chunk_of(obj_off));
   common::MutexLock lk(s.mu);
   free_slot_locked(st, s, obj_off, /*retire=*/true);
 }
 
-void StripedAllocator::free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
-                                            uint64_t val_off) {
+void Allocator::free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
+                                     uint64_t val_off) {
   TypeState& leaf_st = ts(ObjType::kLeaf);
   // Holding the freed leaf's *stripe* mutex throughout blocks exactly the
   // reservations that could race the stale-value probe against this clear
@@ -329,9 +336,8 @@ void StripedAllocator::free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
   clear_(arena_, leaf_off);
 }
 
-void StripedAllocator::free_leaf_with_value_retired(uint64_t leaf_off,
-                                                    ObjType vcls,
-                                                    uint64_t val_off) {
+void Allocator::free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
+                                             uint64_t val_off) {
   TypeState& leaf_st = ts(ObjType::kLeaf);
   Stripe& ls = stripe_for(leaf_st, leaf_st.geom.chunk_of(leaf_off));
   common::MutexLock lk(ls.mu);
@@ -348,7 +354,7 @@ void StripedAllocator::free_leaf_with_value_retired(uint64_t leaf_off,
   clear_(arena_, leaf_off);
 }
 
-void StripedAllocator::release_retired(ObjType t, uint64_t obj_off) {
+void Allocator::release_retired(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   {
@@ -364,7 +370,7 @@ void StripedAllocator::release_retired(ObjType t, uint64_t obj_off) {
   recycle_chunk_of(t, obj_off);
 }
 
-bool StripedAllocator::bit_is_set(ObjType t, uint64_t obj_off) const {
+bool Allocator::bit_is_set(ObjType t, uint64_t obj_off) const {
   const TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
@@ -375,15 +381,7 @@ bool StripedAllocator::bit_is_set(ObjType t, uint64_t obj_off) const {
   return (it->second.shadow >> idx) & 1;  // DRAM shadow, no PM read
 }
 
-bool StripedAllocator::bit_probe(ObjType t, uint64_t obj_off) const {
-  const TypeGeometry& g = geom(t);
-  auto* c = chunk_ptr(g.chunk_of(obj_off));
-  const uint64_t w =
-      std::atomic_ref<uint64_t>(c->header).load(std::memory_order_acquire);
-  return (ChunkHdr::bitmap(w) >> g.index_of(obj_off)) & 1;
-}
-
-void StripedAllocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
+void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   // Lock order: head_mu (list stability, including the prev-walk below)
@@ -405,11 +403,11 @@ void StripedAllocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
     // Make the all-clear header durable before unlinking; the stale entry
     // in dirty_chunks is skipped by the dirty-flag check at flush time.
     arena_.persist(&c->header, sizeof(c->header));
-    striped_counters().pm_meta_persists.inc();
+    ep_counters().pm_meta_persists.inc();
     cs.dirty = false;
   }
 
-  // No volatile prev pointer in striped mode: chunk-list topology is
+  // No volatile prev pointer per chunk: chunk-list topology is
   // guarded by head_mu, so walking for the predecessor here is safe and
   // keeps the per-chunk DRAM state smaller.
   uint64_t prev = 0;
@@ -444,14 +442,14 @@ void StripedAllocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   }
   s.chunks.erase(it);  // stale avail entries are skipped on pop
   arena_.free(c_off, st.geom.chunk_bytes, st.geom.stride);
-  striped_counters().chunk_recycle.inc();
+  ep_counters().chunk_recycle.inc();
 
   rlog = RecycleLog{};
   arena_.trace_store(&rlog, sizeof(rlog));
   arena_.persist(&rlog, sizeof(rlog));
 }
 
-void StripedAllocator::flush_metadata(uint64_t /*epoch*/) {
+void Allocator::flush_metadata(uint64_t /*epoch*/) {
   if (!batched_) return;
   bool any = false;
   for (auto& st : types_) {
@@ -464,7 +462,7 @@ void StripedAllocator::flush_metadata(uint64_t /*epoch*/) {
         if (it == s.chunks.end() || !it->second.dirty) continue;
         arena_.persist(&chunk_ptr(c_off)->header,
                        sizeof(chunk_ptr(c_off)->header));
-        striped_counters().pm_meta_persists.inc();
+        ep_counters().pm_meta_persists.inc();
         any = true;
         ChunkState& cs = it->second;
         cs.dirty = false;
@@ -475,10 +473,10 @@ void StripedAllocator::flush_metadata(uint64_t /*epoch*/) {
       s.dirty_chunks.clear();
     }
   }
-  if (any) striped_counters().meta_flush_batches.inc();
+  if (any) ep_counters().meta_flush_batches.inc();
 }
 
-UpdateLog* StripedAllocator::acquire_ulog() {
+UpdateLog* Allocator::acquire_ulog() {
   for (;;) {
     {
       common::MutexLock lk(ulog_mu_);
@@ -486,7 +484,7 @@ UpdateLog* StripedAllocator::acquire_ulog() {
           static_cast<uint32_t>(std::countr_one(ulog_busy_ | ~ulog_slots_));
       if (idx < kUpdateLogSlots) {
         ulog_busy_ |= (uint32_t{1} << idx);
-        striped_counters().ulog_take.inc();
+        ep_counters().ulog_take.inc();
         return &root_->ulogs[idx];
       }
     }
@@ -494,10 +492,10 @@ UpdateLog* StripedAllocator::acquire_ulog() {
   }
 }
 
-void StripedAllocator::reclaim_ulog(UpdateLog* log) {
+void Allocator::reclaim_ulog(UpdateLog* log) {
   // Always eager: a deferred zero-persist could leave a completed log
   // durable, and recovery would replay it against recycled objects.
-  striped_counters().ulog_reclaim.inc();
+  ep_counters().ulog_reclaim.inc();
   *log = UpdateLog{};
   arena_.trace_store(log, sizeof(*log));
   arena_.persist(log, sizeof(*log));
@@ -506,7 +504,7 @@ void StripedAllocator::reclaim_ulog(UpdateLog* log) {
   ulog_busy_ &= ~(uint32_t{1} << idx);
 }
 
-void StripedAllocator::finish_recycle_log() {
+void Allocator::finish_recycle_log() {
   RecycleLog& rlog = root_->rlog;
   if (rlog.pcurrent == 0) return;
   const ObjType t = rlog.type();
@@ -530,7 +528,7 @@ void StripedAllocator::finish_recycle_log() {
   arena_.persist(&rlog, sizeof(rlog));
 }
 
-void StripedAllocator::recover_structure() {
+void Allocator::recover_structure() {
   finish_recycle_log();
 
   arena_.reset_alloc_map();
@@ -556,7 +554,7 @@ void StripedAllocator::recover_structure() {
     uint64_t n = 0;
     while (off != pmem::kNullOff) {
       if (++n > max_chunks)
-        throw std::runtime_error("StripedAllocator: cyclic chunk list");
+        throw std::runtime_error("epalloc: cyclic chunk list");
       arena_.mark_used(off, st.geom.chunk_bytes);
       auto* c = chunk_ptr(off);
       Stripe& s = stripe_for(st, off);
@@ -577,8 +575,8 @@ void StripedAllocator::recover_structure() {
   }
 }
 
-void StripedAllocator::for_each_live(
-    ObjType t, const std::function<void(uint64_t)>& f) const {
+void Allocator::for_each_live(ObjType t,
+                              const std::function<void(uint64_t)>& f) const {
   const TypeState& st = ts(t);
   uint64_t off = root_->heads[static_cast<int>(t)];
   while (off != pmem::kNullOff) {
@@ -593,7 +591,7 @@ void StripedAllocator::for_each_live(
   }
 }
 
-std::vector<uint64_t> StripedAllocator::chunk_offsets(ObjType t) const {
+std::vector<uint64_t> Allocator::chunk_offsets(ObjType t) const {
   std::vector<uint64_t> out;
   uint64_t off = root_->heads[static_cast<int>(t)];
   while (off != pmem::kNullOff) {
@@ -603,7 +601,7 @@ std::vector<uint64_t> StripedAllocator::chunk_offsets(ObjType t) const {
   return out;
 }
 
-uint64_t StripedAllocator::live_objects(ObjType t) const {
+uint64_t Allocator::live_objects(ObjType t) const {
   const TypeState& st = ts(t);
   uint64_t total = 0;
   for (const auto& s : st.stripes) {
@@ -614,7 +612,7 @@ uint64_t StripedAllocator::live_objects(ObjType t) const {
   return total;
 }
 
-uint64_t StripedAllocator::chunk_count(ObjType t) const {
+uint64_t Allocator::chunk_count(ObjType t) const {
   const TypeState& st = ts(t);
   uint64_t total = 0;
   for (const auto& s : st.stripes) {
@@ -622,36 +620,6 @@ uint64_t StripedAllocator::chunk_count(ObjType t) const {
     total += s.chunks.size();
   }
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-// ---------------------------------------------------------------------------
-
-AllocOptions::Kind resolve_alloc_kind(AllocOptions::Kind k) {
-  if (k != AllocOptions::Kind::kAuto) return k;
-  const char* env = std::getenv("HART_LEGACY_ALLOC");
-  if (env != nullptr && env[0] != '\0' &&
-      !(env[0] == '0' && env[1] == '\0'))
-    return AllocOptions::Kind::kLegacy;
-  return AllocOptions::Kind::kStriped;
-}
-
-std::unique_ptr<Allocator> make_allocator(pmem::Arena& arena, EPRoot* root,
-                                          uint32_t leaf_obj_size,
-                                          LeafProbeFn probe, LeafClearFn clear,
-                                          const AllocOptions& opts) {
-  if (resolve_alloc_kind(opts.kind) == AllocOptions::Kind::kLegacy)
-    return std::make_unique<EPAllocator>(arena, root, leaf_obj_size, probe,
-                                         clear);
-  uint32_t n = opts.stripes;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = hw == 0 ? 4 : (hw > 8 ? 8 : hw);
-  }
-  if (n > AllocOptions::kMaxStripes) n = AllocOptions::kMaxStripes;
-  return std::make_unique<StripedAllocator>(arena, root, leaf_obj_size, probe,
-                                            clear, n, opts.batched_meta);
 }
 
 }  // namespace hart::epalloc

@@ -1,37 +1,67 @@
-// epalloc::Allocator — the v2 allocator interface (striped PM allocation).
+// epalloc::Allocator — the paper's enhanced persistent memory allocator
+// (EPallocator, Section III.A.4-6, Algorithms 2 and 6), with striped,
+// DRAM-shadowed volatile state (the HESH/Dash recipe).
 //
-// PR 10 redesign: every index tree used to hold a concrete EPAllocator by
-// value; the allocator API is now an abstract interface with two
-// implementations selected at arena-open time:
+// Persistent format. Objects are handed out from 56-object chunks whose
+// single 8-byte header word (bitmap + hint + full indicator) is updated
+// failure-atomically. Chunks of each type form a singly linked persistent
+// list rooted in EPRoot, which is both the recovery index (Algorithm 7
+// walks the leaf list) and the leak-prevention device: an object's bit is
+// set only *after* the object is fully linked into the index, so a crash
+// in between leaves the slot free. The recycle and update micro-logs live
+// in EPRoot too (micrologs.h).
 //
-//   * EPAllocator (epalloc.h)  — the paper's single-instance allocator.
-//     Every bitmap mutation persists its chunk header inline. Kept as the
-//     `--legacy-alloc` ablation baseline.
-//   * StripedAllocator (striped.h) — HESH/Dash-style striped sub-allocators,
-//     one stripe per modeled DIMM. Volatile chunk metadata (including a DRAM
-//     shadow of each chunk's free bitmap) is partitioned by a deterministic
-//     chunk->stripe map, threads spread across stripes round-robin
-//     (equalization) and steal when their stripe is empty, and — in batched
-//     mode — chunk-header persists are deferred to flush_metadata(), which
-//     the service piggybacks on the group-commit epoch fence.
+// Two-phase allocation: reserve() returns a *reserved* object (volatile
+// reservation, so concurrent writers on different ARTs never collide), and
+// commit() sets the persistent bit. Reservations evaporate at a crash —
+// which is exactly the paper's leak-freedom argument.
 //
-// Interface conventions:
-//   * reserve() is Status-typed: arena exhaustion is a reportable
-//     kOutOfMemory, not an exception escaping the write path.
-//   * flush_metadata(epoch) is the explicit persistence hook. Eager
-//     implementations make it a no-op; batched implementations persist all
-//     dirty chunk headers and unblock pending-free slots. Callers must
-//     invoke it before declaring an epoch durable.
-//   * Both implementations write byte-identical persistent images (chunk
-//     lists, headers, micro-logs), so an arena created under either opens
-//     under the other — see tests/alloc_parity_test.cc.
+// Volatile side and persist schedule:
+//
+//  * Striping. Volatile chunk metadata is partitioned into S stripes
+//    (modeled per-DIMM sub-allocators) by a deterministic map,
+//    stripe(chunk) = (chunk_off / stride) mod S — no ownership table, so
+//    any thread can find a chunk's stripe lock-free. Each stripe has its
+//    own mutex, chunk map and free list, so writers on different stripes
+//    never contend.
+//  * Thread equalization. Each thread gets a round-robin home stripe and
+//    allocates there first, stealing from (home+k) mod S only when its
+//    stripe is out of space (counted in epalloc_stripe_steals_total).
+//  * DRAM shadow bitmaps. Every chunk's occupancy bitmap is mirrored in
+//    its ChunkState (`shadow`), kept exactly equal to the PM header word
+//    — header *stores* remain immediate 8-byte atomic stores so lock-free
+//    bit_probe readers are unaffected — and all allocation decisions read
+//    the shadow, never PM.
+//  * Batched metadata persistence (AllocOptions::batched_meta). Chunk-
+//    header persists are deferred: mutated headers are marked dirty and
+//    flushed by flush_metadata(), which Hart::flush_epoch() invokes just
+//    before the epoch stamp persists — the group-commit fence the service
+//    already pays. Freed slots stay `pending` (not reusable) until their
+//    cleared header is durable; otherwise a crash could resurrect a
+//    half-overwritten slot under a stale set bit. Chunk-list links,
+//    micro-logs and object payloads keep their eager persist schedule —
+//    only the per-op bitmap flush is batched away.
+//
+// With stripes = 1 and eager metadata persists this is the paper's
+// single-instance EPallocator: every bitmap mutation persists its chunk
+// header inline (2.0 metadata persists per insert).
+//
+// Crash model in batched mode: commits/frees since the last fence may not
+// be durable — identical to losing the unacked tail of a group-commit
+// batch, which the service already tolerates. Each header is one atomic
+// 8-byte word, so recovery always sees a consistent (possibly slightly
+// stale) bitmap and the standard Algorithm 7 walk + stale-value probe
+// reclaim anything orphaned.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/status.h"
 #include "epalloc/chunk.h"
 #include "epalloc/micrologs.h"
@@ -52,53 +82,53 @@ using LeafClearFn = void (*)(pmem::Arena&, uint64_t leaf_off);
 
 /// Allocator construction knobs (part of Hart::Options and hartd::Config).
 struct AllocOptions {
-  enum class Kind : uint8_t {
-    kAuto,     // striped, unless the HART_LEGACY_ALLOC env var is set
-    kStriped,  // force the striped allocator
-    kLegacy,   // force the paper's single-instance EPAllocator
-  };
-  Kind kind = Kind::kAuto;
   /// Hard ceiling on the stripe count (a modeled system has at most a few
-  /// dozen DIMMs; the factory clamps here).
+  /// dozen DIMMs; the constructor clamps here).
   static constexpr uint32_t kMaxStripes = 64;
   /// Number of stripes (modeled DIMMs). 0 = auto: min(hw threads, 8),
-  /// at least 1. Ignored by the legacy allocator.
+  /// at least 1.
   uint32_t stripes = 0;
   /// Defer chunk-header persists to flush_metadata() (the service sets this;
-  /// raw Hart embedders default to eager per-op durability). Ignored by the
-  /// legacy allocator, which always persists inline.
+  /// raw Hart embedders default to eager per-op durability).
   bool batched_meta = false;
 };
 
 class Allocator {
  public:
-  virtual ~Allocator() = default;
+  /// `root` must live in the arena header (persistent). On a fresh arena it
+  /// must be zero; on reopen call recover_structure() before any use.
+  Allocator(pmem::Arena& arena, EPRoot* root, uint32_t leaf_obj_size,
+            LeafProbeFn probe, LeafClearFn clear,
+            const AllocOptions& opts = {});
+  ~Allocator();
+
+  Allocator(const Allocator&) = delete;
+  Allocator& operator=(const Allocator&) = delete;
 
   /// Algorithm 2. On kOk, *obj_off holds a reserved object's arena offset.
   /// The persistent bit is not yet set; call commit() once the object is
   /// reachable from the index, or release() to abort. kOutOfMemory when the
   /// arena cannot fit another chunk (nothing is reserved).
-  virtual common::Status reserve(ObjType t, uint64_t* obj_off) = 0;
+  common::Status reserve(ObjType t, uint64_t* obj_off);
 
   /// Set the object's bitmap bit (e.g. Alg. 1 lines 14/18). The header
-  /// store is immediate (lock-free readers see it via bit_probe); whether
-  /// the *persist* is inline or deferred to flush_metadata() depends on the
-  /// implementation's batching mode.
-  virtual void commit(ObjType t, uint64_t obj_off) = 0;
+  /// store is immediate (lock-free readers see it via bit_probe); the
+  /// *persist* is inline, or deferred to flush_metadata() in batched mode.
+  void commit(ObjType t, uint64_t obj_off);
 
   /// Drop a reservation without committing (abort path; no crash involved).
-  virtual void release(ObjType t, uint64_t obj_off) = 0;
+  void release(ObjType t, uint64_t obj_off);
 
   /// Reset the object's bitmap bit (deletion / update paths). Does not
   /// recycle; call recycle_chunk_of() afterwards (Alg. 5/6).
-  virtual void free_object(ObjType t, uint64_t obj_off) = 0;
+  void free_object(ObjType t, uint64_t obj_off);
 
   /// Deletion path (Alg. 5 lines 11-12 plus the p_value clear deviation,
   /// see DESIGN.md): atomically — with respect to leaf reservations —
   /// reset the leaf bit, reset the value bit, and clear the leaf's value
   /// pointer.
-  virtual void free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
-                                    uint64_t val_off) = 0;
+  void free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
+                            uint64_t val_off);
 
   // ---- EBR-deferred reuse ---------------------------------------------
   // The *_retired variants reset the persistent bit but also set a volatile
@@ -106,51 +136,55 @@ class Allocator {
   // until release_retired() runs after the reader grace period.
 
   /// free_object(), minus making the slot reusable.
-  virtual void free_object_retired(ObjType t, uint64_t obj_off) = 0;
+  void free_object_retired(ObjType t, uint64_t obj_off);
 
   /// free_leaf_with_value(), minus making either slot reusable.
-  virtual void free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
-                                            uint64_t val_off) = 0;
+  void free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
+                                    uint64_t val_off);
 
   /// Grace period over: allow reuse and run the deferred EPRecycle.
   /// Tolerates a chunk that no longer exists (freed across a recovery).
-  virtual void release_retired(ObjType t, uint64_t obj_off) = 0;
+  void release_retired(ObjType t, uint64_t obj_off);
 
   /// EPRecycle(MemChunkOf(obj)) — Algorithm 6. Unlinks and frees the chunk
   /// if it contains no used (or reserved, retired, pending) object.
-  virtual void recycle_chunk_of(ObjType t, uint64_t obj_off) = 0;
+  void recycle_chunk_of(ObjType t, uint64_t obj_off);
 
-  [[nodiscard]] virtual bool bit_is_set(ObjType t, uint64_t obj_off) const = 0;
+  [[nodiscard]] bool bit_is_set(ObjType t, uint64_t obj_off) const;
 
   /// Lock-free read of an object's persistent bit, for concurrent readers
   /// (HART search validates the leaf bit, Algorithm 4 line 9). Header words
   /// are updated with atomic 8-byte stores, so this is race-free.
-  [[nodiscard]] virtual bool bit_probe(ObjType t, uint64_t obj_off) const = 0;
+  [[nodiscard]] bool bit_probe(ObjType t, uint64_t obj_off) const {
+    const TypeGeometry& g = geom(t);
+    auto* c = chunk_ptr(g.chunk_of(obj_off));
+    const uint64_t w =
+        std::atomic_ref<uint64_t>(c->header).load(std::memory_order_acquire);
+    return (ChunkHdr::bitmap(w) >> g.index_of(obj_off)) & 1;
+  }
 
-  [[nodiscard]] virtual const TypeGeometry& geom(ObjType t) const = 0;
-  [[nodiscard]] uint64_t chunk_of(ObjType t, uint64_t obj_off) const {
-    return geom(t).chunk_of(obj_off);
+  [[nodiscard]] const TypeGeometry& geom(ObjType t) const {
+    return types_[static_cast<int>(t)].geom;
   }
 
   // ---- batched metadata persistence -----------------------------------
   /// Persist every deferred chunk-header word and unblock pending-free
   /// slots. The service calls this once per group-commit batch, inside
   /// Hart::flush_epoch() before the epoch stamp persists; `epoch` is the
-  /// epoch being made durable (informational). Eager implementations:
-  /// no-op.
-  virtual void flush_metadata(uint64_t epoch) = 0;
+  /// epoch being made durable (informational). No-op in eager mode.
+  void flush_metadata(uint64_t epoch);
 
-  /// Number of allocation stripes (1 for the legacy allocator).
-  [[nodiscard]] virtual uint32_t stripe_count() const = 0;
+  /// Number of allocation stripes.
+  [[nodiscard]] uint32_t stripe_count() const { return nstripes_; }
 
-  /// "legacy" or "striped" — for --print-config and stats.
-  [[nodiscard]] virtual const char* kind_name() const = 0;
+  /// Allocator name, for hartd's startup line and perfbench's notes.
+  [[nodiscard]] const char* kind_name() const { return "striped"; }
 
   // ---- update-log slot pool (Algorithm 3 uses one slot per update) ----
-  virtual UpdateLog* acquire_ulog() = 0;
+  UpdateLog* acquire_ulog();
   /// LogReclaim: zero + persist the slot, return it to the pool. Always
   /// eager — a deferred zero-persist could replay a stale completed log.
-  virtual void reclaim_ulog(UpdateLog* log) = 0;
+  void reclaim_ulog(UpdateLog* log);
 
   // ---- recovery -------------------------------------------------------
   /// Structural recovery: finish or roll back the recycle log, rebuild the
@@ -158,34 +192,98 @@ class Allocator {
   /// construction), and rebuild all volatile state — including the DRAM
   /// bitmap shadows — from the PM headers. The caller then replays its
   /// update logs and rebuilds DRAM structures (Algorithm 7).
-  virtual void recover_structure() = 0;
+  void recover_structure();
 
   /// Invoke `f(obj_off)` for every object whose bit is set, in list order.
-  virtual void for_each_live(ObjType t,
-                             const std::function<void(uint64_t)>& f) const = 0;
+  void for_each_live(ObjType t, const std::function<void(uint64_t)>& f) const;
 
   /// Snapshot of the chunk offsets of one list (parallel recovery shards
   /// the leaf list across workers by chunk).
-  [[nodiscard]] virtual std::vector<uint64_t> chunk_offsets(ObjType t)
-      const = 0;
+  [[nodiscard]] std::vector<uint64_t> chunk_offsets(ObjType t) const;
 
   // ---- introspection (tests, stats) -----------------------------------
-  [[nodiscard]] virtual uint64_t live_objects(ObjType t) const = 0;
-  [[nodiscard]] virtual uint64_t chunk_count(ObjType t) const = 0;
-  [[nodiscard]] virtual uint64_t list_head(ObjType t) const = 0;
+  [[nodiscard]] uint64_t live_objects(ObjType t) const;
+  [[nodiscard]] uint64_t chunk_count(ObjType t) const;
+  [[nodiscard]] uint64_t list_head(ObjType t) const {
+    return root_->heads[static_cast<int>(t)];
+  }
+
+ private:
+  struct ChunkState {
+    uint64_t shadow = 0;    // DRAM mirror of the PM header's bitmap
+    uint64_t reserved = 0;  // volatile reservation bitmap
+    uint64_t retired = 0;   // volatile: freed, awaiting EBR grace period
+    uint64_t pending = 0;   // freed, but the cleared header is not yet
+                            // durable; blocks reuse until flush_metadata
+    bool dirty = false;     // header persist deferred to flush_metadata
+    bool in_avail = false;
+  };
+  struct Stripe {
+    mutable common::Mutex mu;
+    std::unordered_map<uint64_t, ChunkState> chunks GUARDED_BY(mu);
+    // Chunks that may have a reservable slot.
+    std::vector<uint64_t> avail GUARDED_BY(mu);
+    // Chunks with a deferred header persist (entries may go stale when a
+    // chunk is recycled; the dirty flag is authoritative).
+    std::vector<uint64_t> dirty_chunks GUARDED_BY(mu);
+  };
+  struct TypeState {
+    TypeGeometry geom;  // immutable after construction; not guarded
+    /// Serializes chunk-list mutations (link a new chunk, unlink on
+    /// recycle) and the volatile->persistent head word. Lock order:
+    /// head_mu -> any stripe mu -> rlog_mu_.
+    mutable common::Mutex head_mu;
+    std::deque<Stripe> stripes;  // deque: Stripe is not movable
+  };
+
+  TypeState& ts(ObjType t) { return types_[static_cast<int>(t)]; }
+  const TypeState& ts(ObjType t) const {
+    return types_[static_cast<int>(t)];
+  }
+  MemChunk* chunk_ptr(uint64_t off) const {
+    return arena_.ptr<MemChunk>(off);
+  }
+  Stripe& stripe_for(const TypeState& st, uint64_t chunk_off) const {
+    return const_cast<TypeState&>(st)
+        .stripes[(chunk_off / st.geom.stride) % nstripes_];
+  }
+
+  /// reserve() minus the status mapping; throws std::bad_alloc on arena
+  /// exhaustion.
+  uint64_t reserve_impl(ObjType t);
+  bool try_reserve_in_stripe(TypeState& st, Stripe& s, uint64_t* obj_off);
+  uint64_t new_chunk_list_locked(TypeState& st, ObjType t)
+      REQUIRES(st.head_mu);
+  void free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
+                        bool retire) REQUIRES(s.mu);
+  void make_available_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
+      REQUIRES(s.mu);
+  void mark_dirty_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
+      REQUIRES(s.mu);
+  void persist_head(ObjType t);
+
+  void finish_recycle_log();
+
+  pmem::Arena& arena_;
+  EPRoot* root_;
+  LeafProbeFn probe_;
+  LeafClearFn clear_;
+  const uint32_t nstripes_;
+  const bool batched_;
+  TypeState types_[kNumObjTypes];
+  // Bitmasks over kUpdateLogSlots (<= 32): the line-contained slots that
+  // may be handed out, and those in flight.
+  const uint32_t ulog_slots_;
+  common::Mutex ulog_mu_;
+  uint32_t ulog_busy_ GUARDED_BY(ulog_mu_) = 0;
+  /// Serializes all use of the single shared persistent RecycleLog. A
+  /// stripe mutex is not enough: chunks of *different* object types can be
+  /// recycled concurrently, and without this lock both writers would
+  /// interleave their stores into the same log words — a PM race that
+  /// could make recovery unlink a chunk with the wrong type's geometry.
+  /// Acquired after a stripe mutex, never the other way around. Guards a
+  /// PM structure (root_->rlog), which TSA cannot express as GUARDED_BY.
+  common::Mutex rlog_mu_;
 };
-
-/// Build the allocator selected by `opts` over `root` (which must live in
-/// the arena header). On a fresh arena the root must be zero; on reopen
-/// call recover_structure() before any use.
-std::unique_ptr<Allocator> make_allocator(pmem::Arena& arena, EPRoot* root,
-                                          uint32_t leaf_obj_size,
-                                          LeafProbeFn probe, LeafClearFn clear,
-                                          const AllocOptions& opts = {});
-
-/// Resolve AllocOptions::Kind::kAuto against the HART_LEGACY_ALLOC
-/// environment variable (set in CI ablation legs). Returns the concrete
-/// kind that make_allocator would build.
-AllocOptions::Kind resolve_alloc_kind(AllocOptions::Kind k);
 
 }  // namespace hart::epalloc

@@ -74,9 +74,8 @@ Hart::Hart(pmem::Arena& arena, Options opts)
     : arena_(arena),
       opts_(resolve_options(arena, opts)),
       root_(arena.root<HartRoot>()),
-      ep_(epalloc::make_allocator(arena, &root_->ep, sizeof(HartLeaf),
-                                  &hart_leaf_probe, &hart_leaf_clear,
-                                  opts_.alloc)),
+      ep_(arena, &root_->ep, sizeof(HartLeaf), &hart_leaf_probe,
+          &hart_leaf_clear, opts_.alloc),
       dir_(opts_.hash_buckets,
            HartLeafTraits{opts_.hash_key_len, &arena},
            &dram_bytes_,
@@ -108,7 +107,7 @@ void Hart::retire_slot(epalloc::ObjType cls, uint64_t off) {
 
 void Hart::retire_slot_cb(void* packed, void* self) {
   const auto bits = reinterpret_cast<uint64_t>(packed);
-  static_cast<Hart*>(self)->ep_->release_retired(
+  static_cast<Hart*>(self)->ep_.release_retired(
       static_cast<epalloc::ObjType>(bits & 7), bits & ~uint64_t{7});
 }
 
@@ -136,12 +135,12 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   // Lines 10-11: allocate the leaf and the value object. Exhaustion backs
   // out cleanly — reservations are volatile, nothing was persisted.
   uint64_t leaf_off = 0;
-  if (auto s = ep_->reserve(epalloc::ObjType::kLeaf, &leaf_off); !s.ok())
+  if (auto s = ep_.reserve(epalloc::ObjType::kLeaf, &leaf_off); !s.ok())
     return s;
   const epalloc::ObjType vcls = value_class_for(value.size());
   uint64_t val_off = 0;
-  if (auto s = ep_->reserve(vcls, &val_off); !s.ok()) {
-    ep_->release(epalloc::ObjType::kLeaf, leaf_off);
+  if (auto s = ep_.reserve(vcls, &val_off); !s.ok()) {
+    ep_.release(epalloc::ObjType::kLeaf, leaf_off);
     return s;
   }
 
@@ -174,7 +173,7 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   arena_.persist(leaf, sizeof(HartLeaf));
 
   // Line 14: set + persist the value bit.
-  ep_->commit(vcls, val_off);
+  ep_.commit(vcls, val_off);
 
   // Line 17: Insert2Tree — DRAM only, no persistence needed (selective
   // consistency: internal nodes are reconstructable). The tree is keyed by
@@ -184,7 +183,7 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   part->tree.insert(akey, leaf);
 
   // Line 18: set + persist the leaf bit — the commit point.
-  ep_->commit(epalloc::ObjType::kLeaf, leaf_off);
+  ep_.commit(epalloc::ObjType::kLeaf, leaf_off);
   count_.fetch_add(1, std::memory_order_relaxed);
   return common::Status::kInserted;
 }
@@ -200,7 +199,7 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   // exhaustion nothing was written: the old value is untouched and no log
   // slot is held, so returning is a clean abort.
   uint64_t new_off = 0;
-  if (auto s = ep_->reserve(new_cls, &new_off); !s.ok()) return s;
+  if (auto s = ep_.reserve(new_cls, &new_off); !s.ok()) return s;
   char* vp = arena_.ptr<char>(new_off);
   std::memcpy(vp, value.data(), value.size());
   std::memset(vp + value.size(), 0, value_object_size(new_cls) - value.size());
@@ -213,7 +212,7 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   // program order, so a durable PNewV implies durable PLeaf, POldV and
   // meta. Without PNewV recovery resets the slot — the new value's
   // reservation is volatile — so PLeaf needs no flush of its own.
-  epalloc::UpdateLog* ulog = ep_->acquire_ulog();
+  epalloc::UpdateLog* ulog = ep_.acquire_ulog();
   ulog->pleaf = leaf_off;
   ulog->poldv = old_off;
   ulog->meta = epalloc::UpdateLog::pack_meta(
@@ -224,7 +223,7 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   arena_.persist(ulog, sizeof(*ulog));
 
   // Line 7: set the bit for the new value.
-  ep_->commit(new_cls, new_off);
+  ep_.commit(new_cls, new_off);
 
   // Line 8: swing the value pointer and its metadata in the leaf — they
   // are adjacent at the leaf tail, one flush covers them. The swing runs
@@ -253,15 +252,15 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   // lock-free readers the slot's *reuse* (and the chunk recycle) waits out
   // the grace period; durability is identical — the bit reset persists now.
   if (optimistic()) {
-    ep_->free_object_retired(old_cls, old_off);
+    ep_.free_object_retired(old_cls, old_off);
     retire_slot(old_cls, old_off);
   } else {
-    ep_->free_object(old_cls, old_off);
-    ep_->recycle_chunk_of(old_cls, old_off);
+    ep_.free_object(old_cls, old_off);
+    ep_.recycle_chunk_of(old_cls, old_off);
   }
 
   // Line 11: LogReclaim.
-  ep_->reclaim_ulog(ulog);
+  ep_.reclaim_ulog(ulog);
   return common::Status::kOk;
 }
 
@@ -325,7 +324,7 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
     if (r.ok) {
       if (r.leaf == nullptr) return common::Status::kNotFound;
       // Line 9: validate the leaf bit in the chunk bitmap (lock-free).
-      if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
+      if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
         return common::Status::kNotFound;
       const int vr = read_leaf_value_optimistic(r.leaf, out);
       if (vr > 0) return common::Status::kOk;
@@ -337,7 +336,7 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
   const HartLeaf* leaf = part->tree.search(akey);
   if (leaf == nullptr) return common::Status::kNotFound;
   // Line 9: validate the leaf bit in the chunk bitmap.
-  if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+  if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
     return common::Status::kNotFound;
   const char* vp = arena_.ptr<char>(leaf->p_value);
   arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
@@ -377,14 +376,14 @@ common::Status Hart::remove(std::string_view key) {
   // durable immediately), reuse and the chunk recycles wait out the grace
   // period (release_retired runs them).
   if (optimistic()) {
-    ep_->free_leaf_with_value_retired(leaf_off, vcls, val_off);
+    ep_.free_leaf_with_value_retired(leaf_off, vcls, val_off);
     retire_slot(vcls, val_off);
     retire_slot(epalloc::ObjType::kLeaf, leaf_off);
   } else {
-    ep_->free_leaf_with_value(leaf_off, vcls, val_off);
+    ep_.free_leaf_with_value(leaf_off, vcls, val_off);
     // Lines 13-14: recycle now-empty chunks.
-    ep_->recycle_chunk_of(vcls, val_off);
-    ep_->recycle_chunk_of(epalloc::ObjType::kLeaf, leaf_off);
+    ep_.recycle_chunk_of(vcls, val_off);
+    ep_.recycle_chunk_of(epalloc::ObjType::kLeaf, leaf_off);
   }
 
   // Lines 15-16: free the ART if it became empty (internal nodes were
@@ -401,7 +400,7 @@ size_t Hart::range(
   const uint64_t hlo = pack_hash_key(lo, opts_.hash_key_len);
 
   auto emit_locked = [&](HartLeaf* leaf) {
-    if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+    if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
       return true;
     const char* vp = arena_.ptr<char>(leaf->p_value);
     arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
@@ -436,7 +435,7 @@ size_t Hart::range(
       staging.clear();
       bool torn = false;
       auto emit = [&](HartLeaf* leaf) {
-        if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+        if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
           return true;
         std::string val;
         const int vr = read_leaf_value_optimistic(leaf, &val);
@@ -489,7 +488,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       const auto r = part->tree.search_optimistic(akey);
       if (r.ok) {
         if (r.leaf == nullptr ||
-            !ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
+            !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
           continue;
         const int vr = read_leaf_value_optimistic(r.leaf, &(*out)[i]);
         if (vr == 0) continue;
@@ -503,7 +502,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       common::ReaderLock lk(part->mu);
       const HartLeaf* leaf = part->tree.search(akey);
       if (leaf == nullptr ||
-          !ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+          !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
       const char* vp = arena_.ptr<char>(leaf->p_value);
       arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
@@ -528,7 +527,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
     for (const size_t i : idxs) {
       const HartLeaf* leaf = part->tree.search(art_key(keys[i]));
       if (leaf == nullptr ||
-          !ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+          !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
       const char* vp = arena_.ptr<char>(leaf->p_value);
       arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
@@ -550,7 +549,7 @@ uint64_t Hart::flush_epoch() {
   // Batched allocator metadata rides this fence: every deferred chunk-
   // header persist must be durable before the epoch stamp that declares
   // the batch committed (no-op for eager allocators).
-  ep_->flush_metadata(e);
+  ep_.flush_metadata(e);
   root_->epoch = e;
   arena_.trace_store(&root_->epoch, sizeof(root_->epoch));
   arena_.persist(&root_->epoch, sizeof(root_->epoch));
@@ -571,7 +570,7 @@ void Hart::quiesce() {
   // deferred chunk-header persists out (the drain's frees may have dirtied
   // more headers, so the order matters).
   if (optimistic()) common::ebr::Domain::instance().drain();
-  ep_->flush_metadata(epoch_.load(std::memory_order_relaxed));
+  ep_.flush_metadata(epoch_.load(std::memory_order_relaxed));
 }
 
 common::MemoryUsage Hart::memory_usage() const {
@@ -627,7 +626,7 @@ void Hart::replay_update_logs() {
     auto* leaf = arena_.ptr<HartLeaf>(ulog.pleaf);
     const epalloc::ObjType new_cls = ulog.new_class();
     const epalloc::ObjType old_cls = ulog.old_class();
-    ep_->commit(new_cls, ulog.pnewv);
+    ep_.commit(new_cls, ulog.pnewv);
     leaf->p_value = ulog.pnewv;
     leaf->val_len = static_cast<uint8_t>(ulog.new_len());
     leaf->val_class = value_class_tag(new_cls);
@@ -638,8 +637,8 @@ void Hart::replay_update_logs() {
     // metadata, a live leaf's value in the same chunk may still lack its
     // durable bit until the leaf walk re-commits it, so the chunk can look
     // empty now. An empty chunk left linked is reused, not leaked.
-    if (ep_->bit_is_set(old_cls, ulog.poldv))
-      ep_->free_object(old_cls, ulog.poldv);
+    if (ep_.bit_is_set(old_cls, ulog.poldv))
+      ep_.free_object(old_cls, ulog.poldv);
     ulog = epalloc::UpdateLog{};
     arena_.trace_store(&ulog, sizeof(ulog));
     arena_.persist(&ulog, sizeof(ulog));
@@ -659,7 +658,7 @@ void Hart::recover(unsigned threads) {
   dir_.clear();
   count_.store(0, std::memory_order_relaxed);
   epoch_.store(root_->epoch, std::memory_order_relaxed);
-  ep_->recover_structure();
+  ep_.recover_structure();
   replay_update_logs();
 
   static obs::Counter& completed_deletes = obs::Registry::instance().counter(
@@ -673,7 +672,7 @@ void Hart::recover(unsigned threads) {
     // optimistic mode, so each recovery worker pins like any other writer.
     common::ebr::Guard ebr_pin(common::ebr::Domain::instance());
     auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
-    // Batched-metadata crash repairs. With the legacy (eager) schedule
+    // Batched-metadata crash repairs. With eager header persists,
     // neither state can arise — the old recovery asserted as much — but
     // when header persists batch onto the epoch fence, a crash between a
     // durable step and its deferred header flush leaves exactly these two
@@ -684,16 +683,16 @@ void Hart::recover(unsigned threads) {
       // delete — the slot is free, nothing references the value (the value
       // side, if still committed, is swept as an orphan below).
       completed_deletes.inc();
-      ep_->free_object(epalloc::ObjType::kLeaf, leaf_off);
+      ep_.free_object(epalloc::ObjType::kLeaf, leaf_off);
       return;
     }
-    if (!ep_->bit_is_set(value_class_of(leaf), leaf->p_value)) {
+    if (!ep_.bit_is_set(value_class_of(leaf), leaf->p_value)) {
       // An in-flight insert/update that reached its leaf-side commit point
       // but whose value-bit persist was still deferred: the value bytes
       // are durable (they persist eagerly, before the leaf commit), so
       // re-committing the bit finishes the operation.
       recommitted_values.inc();
-      ep_->commit(value_class_of(leaf), leaf->p_value);
+      ep_.commit(value_class_of(leaf), leaf->p_value);
     }
     // Fingerprint fix-up: the DRAM-side tag is re-derived from the key
     // bytes by tree.insert below; the persisted copy is repaired here when
@@ -721,12 +720,12 @@ void Hart::recover(unsigned threads) {
   static obs::Counter& recovered =
       obs::Registry::instance().counter("hart_recovered_leaves_total");
   if (threads <= 1) {
-    ep_->for_each_live(epalloc::ObjType::kLeaf, insert_leaf);
+    ep_.for_each_live(epalloc::ObjType::kLeaf, insert_leaf);
   } else {
     // Parallel recovery (extension): shard the leaf chunks across workers.
     const std::vector<uint64_t> chunks =
-        ep_->chunk_offsets(epalloc::ObjType::kLeaf);
-    const auto& geom = ep_->geom(epalloc::ObjType::kLeaf);
+        ep_.chunk_offsets(epalloc::ObjType::kLeaf);
+    const auto& geom = ep_.geom(epalloc::ObjType::kLeaf);
     std::vector<std::thread> pool;
     std::atomic<size_t> next{0};
     for (unsigned t = 0; t < threads; ++t) {
@@ -751,14 +750,14 @@ void Hart::recover(unsigned threads) {
   sweep_orphaned_values();
   // Every repair above must be durable before recovery is declared done —
   // a crash right after recover() must not resurrect the repaired states.
-  ep_->flush_metadata(root_->epoch);
+  ep_.flush_metadata(root_->epoch);
 }
 
 // Reachability sweep over the leaf slots and value lists.
 //
 // Free leaf slots first. A free slot whose p_value names a committed value
 // that no live leaf owns is the pending-reclamation state the stale-value
-// probe reclaims lazily on slot reuse (Alg. 2 lines 12-16); legacy crash
+// probe reclaims lazily on slot reuse (Alg. 2 lines 12-16); eager-schedule
 // images rely on it, so it is kept. Any other non-zero p_value in a free
 // slot is stale and is cleared: an insert that crashed after its leaf
 // flush but before its value bit leaves p_value naming a value slot that
@@ -778,9 +777,9 @@ void Hart::sweep_orphaned_values() {
       "hart_recover_stale_refs_cleared_total");
   std::unordered_set<uint64_t> referenced;
   std::vector<uint64_t> free_refs;  // free leaf slots with a p_value
-  const auto& lg = ep_->geom(epalloc::ObjType::kLeaf);
+  const auto& lg = ep_.geom(epalloc::ObjType::kLeaf);
   for (const uint64_t c_off :
-       ep_->chunk_offsets(epalloc::ObjType::kLeaf)) {
+       ep_.chunk_offsets(epalloc::ObjType::kLeaf)) {
     const uint64_t live = epalloc::ChunkHdr::bitmap(
         arena_.ptr<epalloc::MemChunk>(c_off)->header);
     for (uint32_t i = 0; i < epalloc::kObjectsPerChunk; ++i) {
@@ -801,7 +800,7 @@ void Hart::sweep_orphaned_values() {
     const bool pending =
         leaf->val_class + 1 < epalloc::kNumObjTypes &&
         !referenced.contains(leaf->p_value) &&
-        ep_->bit_is_set(value_class_of(leaf), leaf->p_value);
+        ep_.bit_is_set(value_class_of(leaf), leaf->p_value);
     if (pending) {
       referenced.insert(leaf->p_value);
       continue;
@@ -812,12 +811,12 @@ void Hart::sweep_orphaned_values() {
   for (int t = 1; t < epalloc::kNumObjTypes; ++t) {
     const auto cls = static_cast<epalloc::ObjType>(t);
     std::vector<uint64_t> orphans;
-    ep_->for_each_live(cls, [&](uint64_t off) {
+    ep_.for_each_live(cls, [&](uint64_t off) {
       if (!referenced.contains(off)) orphans.push_back(off);
     });
     for (const uint64_t off : orphans) {
       orphans_freed.inc();
-      ep_->free_object(cls, off);
+      ep_.free_object(cls, off);
     }
   }
 }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string_view>
 
 #include "common/ebr.h"
@@ -61,8 +60,8 @@ class Hart final : public common::Index {
     /// flush); recovery rebuilds the DRAM tags from the key bytes. Off is
     /// the ablation baseline.
     bool fingerprints = true;
-    /// PM allocator selection: striped vs legacy, stripe count, and whether
-    /// chunk-header persists batch onto the flush_epoch() fence. Bare Hart
+    /// PM allocator knobs: stripe count, and whether chunk-header persists
+    /// batch onto the flush_epoch() fence. Bare Hart
     /// embedders default to eager metadata persists (per-op durability, as
     /// the crash tests require); the service turns batching on because its
     /// acks already wait for the epoch fence.
@@ -138,7 +137,7 @@ class Hart final : public common::Index {
   /// Requires quiescence (no concurrent writers), same as recover().
   template <class F>
   void for_each_key(F&& fn) const {
-    ep_->for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
+    ep_.for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
       const auto* leaf = arena_.ptr<HartLeaf>(off);
       fn(std::string_view(leaf->key, leaf->key_len));
     });
@@ -148,8 +147,8 @@ class Hart final : public common::Index {
   [[nodiscard]] size_t partition_count() const {
     return dir_.partition_count();
   }
-  [[nodiscard]] epalloc::Allocator& allocator() { return *ep_; }
-  [[nodiscard]] const epalloc::Allocator& allocator() const { return *ep_; }
+  [[nodiscard]] epalloc::Allocator& allocator() { return ep_; }
+  [[nodiscard]] const epalloc::Allocator& allocator() const { return ep_; }
   [[nodiscard]] pmem::Arena& arena() { return arena_; }
 
  private:
@@ -190,7 +189,7 @@ class Hart final : public common::Index {
   pmem::Arena& arena_;
   Options opts_;
   HartRoot* root_;
-  std::unique_ptr<epalloc::Allocator> ep_;
+  epalloc::Allocator ep_;
   std::atomic<uint64_t> dram_bytes_{0};
   HashDir dir_;
   std::atomic<size_t> count_{0};

@@ -30,14 +30,6 @@ bool parse_latency(const std::string& s, pmem::LatencyConfig* lat) {
   return true;
 }
 
-const char* alloc_kind_name(epalloc::AllocOptions::Kind k) {
-  switch (k) {
-    case epalloc::AllocOptions::Kind::kLegacy: return "legacy";
-    case epalloc::AllocOptions::Kind::kStriped: return "striped";
-    default: return "auto";
-  }
-}
-
 /// One flag position: the flag itself plus, for valued flags, argv[*i+1].
 /// A small state machine shared by both matchers below.
 struct ArgCursor {
@@ -107,8 +99,6 @@ FlagParse parse_server_flag(int argc, char** argv, int* i,
     opts->hart.rwlock_reads = true;
   } else if (a == "--check") {
     opts->check = true;
-  } else if (a == "--legacy-alloc") {
-    opts->hart.alloc.kind = epalloc::AllocOptions::Kind::kLegacy;
   } else if (a == "--alloc-stripes") {
     if (!c.u64(&n)) return FlagParse::kError;
     if (n == 0 || n > epalloc::AllocOptions::kMaxStripes) {
@@ -253,9 +243,6 @@ std::string usage_text(const char* argv0) {
       "  --latency W/R   PM write/read latency ns (e.g. 300/100; default off)\n"
       "  --spin-latency  busy-wait injected latency inside each persist\n"
       "                  (default: bank it, pay per batch with a sleep)\n"
-      "  --legacy-alloc  ablation: the original single-lock EPallocator\n"
-      "                  instead of the striped per-DIMM sub-allocators\n"
-      "                  (also selectable via HART_LEGACY_ALLOC=1)\n"
       "  --alloc-stripes N  sub-allocator stripes per shard arena\n"
       "                  (default: hardware threads, capped at 8)\n"
       "  --eager-meta    ablation: persist every chunk-header change at the\n"
@@ -317,8 +304,6 @@ std::string dump_config(const Config& cfg) {
      std::to_string(o.latency.pm_write_ns) + "/" +
          std::to_string(o.latency.pm_read_ns) + " ns");
   onoff("defer_latency", o.defer_latency);
-  kv("alloc_kind", alloc_kind_name(epalloc::resolve_alloc_kind(
-                       o.hart.alloc.kind)));
   num("alloc_stripes", o.hart.alloc.stripes);  // 0 = auto (hw threads, <=8)
   onoff("alloc_batched_meta", o.hart.alloc.batched_meta);
   num("bloom_bits_per_key", o.bloom_bits_per_key);

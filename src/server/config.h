@@ -45,7 +45,7 @@ enum class FlagParse {
 /// Engine-knob subset shared by hartd and loadgen's --inproc server:
 ///   --shards --batch --queue --arena-dir --arena-mb --latency
 ///   --spin-latency --bloom-bits-per-key --rwlock-reads --check
-///   --legacy-alloc --alloc-stripes --eager-meta
+///   --alloc-stripes --eager-meta
 /// Offers argv[*i] to the matcher; on kOk, *i has been advanced past any
 /// consumed value (the caller's loop ++ then moves to the next flag).
 FlagParse parse_server_flag(int argc, char** argv, int* i,

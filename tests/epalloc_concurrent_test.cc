@@ -1,7 +1,9 @@
 // Multithreaded stress tests for EPallocator: concurrent two-phase
 // allocation never double-issues a slot, commits/frees/recycles from many
 // threads keep the chunk lists and bitmaps consistent, and the update-log
-// slot pool never hands the same slot to two threads.
+// slot pool never hands the same slot to two threads. The allocator runs
+// with four stripes, so threads with different home stripes allocate side
+// by side and steal from each other's stripes once their own runs dry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +13,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "epalloc/epalloc.h"
+#include "epalloc/allocator.h"
+#include "obs/counters.h"
 #include "pmem/arena.h"
 
 namespace hart::epalloc {
@@ -23,7 +26,7 @@ struct FakeLeaf {
   uint8_t pad[31];
 };
 
-EPAllocator::LeafValueRef probe(const pmem::Arena& a, uint64_t off) {
+LeafValueRef probe(const pmem::Arena& a, uint64_t off) {
   const auto* l = a.ptr<FakeLeaf>(off);
   return {l->p_value,
           l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
@@ -37,13 +40,24 @@ struct R {
   EPRoot ep;
 };
 
+constexpr AllocOptions kFourStripes{.stripes = 4, .batched_meta = false};
+
+uint64_t reserve(Allocator& ep, ObjType t) {
+  uint64_t off = 0;
+  EXPECT_EQ(ep.reserve(t, &off), common::Status::kOk);
+  return off;
+}
+
 TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+               kFourStripes);
 
+  auto& steals =
+      obs::Registry::instance().counter("epalloc_stripe_steals_total");
+  const uint64_t steals0 = steals.value();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::vector<uint64_t>> got(kThreads);
@@ -52,7 +66,7 @@ TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
     threads.emplace_back([&, t] {
       got[t].reserve(kPerThread);
       for (int i = 0; i < kPerThread; ++i) {
-        const uint64_t off = ep.ep_malloc(ObjType::kLeaf);
+        const uint64_t off = reserve(ep, ObjType::kLeaf);
         ep.commit(ObjType::kLeaf, off);
         got[t].push_back(off);
       }
@@ -65,14 +79,18 @@ TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
       EXPECT_TRUE(all.insert(off).second) << "slot issued twice: " << off;
   EXPECT_EQ(ep.live_objects(ObjType::kLeaf),
             static_cast<uint64_t>(kThreads * kPerThread));
+  // A new chunk's stripe follows its offset, not the thread that spawned
+  // it, so threads fill chunks outside their home stripe: the steal path
+  // ran, and it handed out no slot twice.
+  EXPECT_GT(steals.value(), steals0);
 }
 
 TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+               kFourStripes);
 
   constexpr int kThreads = 8;
   std::atomic<int64_t> net{0};
@@ -83,7 +101,7 @@ TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
       std::vector<uint64_t> mine;
       for (int step = 0; step < 8000; ++step) {
         if (mine.empty() || rng.next_below(3) != 0) {
-          const uint64_t off = ep.ep_malloc(ObjType::kValue8);
+          const uint64_t off = reserve(ep, ObjType::kValue8);
           ep.commit(ObjType::kValue8, off);
           mine.push_back(off);
           net.fetch_add(1, std::memory_order_relaxed);
@@ -116,8 +134,8 @@ TEST(EPAllocConcurrent, UlogSlotsAreExclusive) {
   pmem::Arena::Options o;
   o.size = 16 << 20;
   pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+               kFourStripes);
 
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
@@ -146,8 +164,8 @@ TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+               kFourStripes);
 
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -155,10 +173,10 @@ TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
     threads.emplace_back([&, t] {
       common::Rng rng(t * 31 + 7);
       for (int step = 0; step < 4000; ++step) {
-        const uint64_t leaf = ep.ep_malloc(ObjType::kLeaf);
+        const uint64_t leaf = reserve(ep, ObjType::kLeaf);
         const ObjType vcls =
             rng.next_below(2) ? ObjType::kValue8 : ObjType::kValue16;
-        const uint64_t val = ep.ep_malloc(vcls);
+        const uint64_t val = reserve(ep, vcls);
         auto* l = arena.ptr<FakeLeaf>(leaf);
         l->p_value = val;
         l->val_class = vcls == ObjType::kValue8 ? 0 : 1;

@@ -1,13 +1,16 @@
 // Unit tests for EPallocator: chunk header encoding, two-phase allocation,
 // chunk-list growth, recycling with the recycle log, stale-value
-// reclamation, and structural recovery.
+// reclamation, and structural recovery. The allocator runs with one stripe
+// and eager header persists — the paper's single-instance EPallocator — so
+// chunk fill order and the recycle persist sequence are exact.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
-#include "epalloc/epalloc.h"
+#include "epalloc/allocator.h"
 #include "pmem/arena.h"
 
 namespace hart::epalloc {
@@ -22,8 +25,7 @@ struct FakeLeaf {
 };
 static_assert(sizeof(FakeLeaf) == 40);
 
-EPAllocator::LeafValueRef fake_probe(const pmem::Arena& a,
-                                     uint64_t leaf_off) {
+LeafValueRef fake_probe(const pmem::Arena& a, uint64_t leaf_off) {
   const auto* l = a.ptr<FakeLeaf>(leaf_off);
   return {l->p_value,
           l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
@@ -38,6 +40,15 @@ struct Root {
   EPRoot ep;
 };
 
+constexpr AllocOptions kPaperAlloc{.stripes = 1, .batched_meta = false};
+
+/// Reserve one object; every arena here is large enough to succeed.
+uint64_t reserve(Allocator& ep, ObjType t) {
+  uint64_t off = 0;
+  EXPECT_EQ(ep.reserve(t, &off), common::Status::kOk);
+  return off;
+}
+
 class EPAllocTest : public ::testing::Test {
  protected:
   EPAllocTest() {
@@ -49,13 +60,12 @@ class EPAllocTest : public ::testing::Test {
     make_alloc();
   }
   void make_alloc() {
-    ep_ = std::make_unique<EPAllocator>(*arena_,
-                                        &arena_->root<Root>()->ep,
-                                        sizeof(FakeLeaf), &fake_probe,
-                                        &fake_clear);
+    ep_ = std::make_unique<Allocator>(*arena_, &arena_->root<Root>()->ep,
+                                      sizeof(FakeLeaf), &fake_probe,
+                                      &fake_clear, kPaperAlloc);
   }
   std::unique_ptr<pmem::Arena> arena_;
-  std::unique_ptr<EPAllocator> ep_;
+  std::unique_ptr<Allocator> ep_;
 };
 
 TEST(ChunkHdr, RoundTripsFields) {
@@ -100,7 +110,7 @@ TEST(TypeGeometry, ChunkOfAndIndexOfInvertObjectOff) {
 
 TEST_F(EPAllocTest, FirstMallocCreatesOneChunk) {
   EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 0u);
-  const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
+  const uint64_t o = reserve(*ep_, ObjType::kLeaf);
   EXPECT_NE(o, 0u);
   EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 1u);
   // Reserved, not yet committed:
@@ -113,41 +123,41 @@ TEST_F(EPAllocTest, FirstMallocCreatesOneChunk) {
 TEST_F(EPAllocTest, FiftySevenThMallocOpensSecondChunk) {
   std::set<uint64_t> offs;
   for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
+    const uint64_t o = reserve(*ep_, ObjType::kValue8);
     ep_->commit(ObjType::kValue8, o);
     EXPECT_TRUE(offs.insert(o).second);
   }
   EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
+  const uint64_t o = reserve(*ep_, ObjType::kValue8);
   EXPECT_TRUE(offs.insert(o).second);
   EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
 }
 
 TEST_F(EPAllocTest, ReservationsPreventDoubleHandout) {
-  const uint64_t a = ep_->ep_malloc(ObjType::kLeaf);
-  const uint64_t b = ep_->ep_malloc(ObjType::kLeaf);
+  const uint64_t a = reserve(*ep_, ObjType::kLeaf);
+  const uint64_t b = reserve(*ep_, ObjType::kLeaf);
   EXPECT_NE(a, b) << "uncommitted reservation must not be re-issued";
   ep_->release(ObjType::kLeaf, a);
-  const uint64_t c = ep_->ep_malloc(ObjType::kLeaf);
+  const uint64_t c = reserve(*ep_, ObjType::kLeaf);
   EXPECT_EQ(c, a) << "released slot is the first free again";
 }
 
 TEST_F(EPAllocTest, FreeObjectMakesSlotAvailable) {
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue16);
+  const uint64_t o = reserve(*ep_, ObjType::kValue16);
   ep_->commit(ObjType::kValue16, o);
   // Occupy a second slot so the chunk is not recycled by emptiness checks.
-  const uint64_t keep = ep_->ep_malloc(ObjType::kValue16);
+  const uint64_t keep = reserve(*ep_, ObjType::kValue16);
   ep_->commit(ObjType::kValue16, keep);
   ep_->free_object(ObjType::kValue16, o);
   EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue16, o));
-  EXPECT_EQ(ep_->ep_malloc(ObjType::kValue16), o);
+  EXPECT_EQ(reserve(*ep_, ObjType::kValue16), o);
 }
 
 TEST_F(EPAllocTest, RecycleFreesEmptyChunkAndKeepsListConsistent) {
   // Fill two chunks of values.
   std::vector<uint64_t> offs;
   for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
+    const uint64_t o = reserve(*ep_, ObjType::kValue8);
     ep_->commit(ObjType::kValue8, o);
     offs.push_back(o);
   }
@@ -176,7 +186,7 @@ TEST_F(EPAllocTest, RecycleHeadChunkUpdatesHead) {
   // Two chunks; head is the most recently created one.
   std::vector<uint64_t> offs;
   for (uint32_t i = 0; i < kObjectsPerChunk + 1; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
+    const uint64_t o = reserve(*ep_, ObjType::kValue8);
     ep_->commit(ObjType::kValue8, o);
     offs.push_back(o);
   }
@@ -191,7 +201,7 @@ TEST_F(EPAllocTest, RecycleHeadChunkUpdatesHead) {
 }
 
 TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
+  const uint64_t o = reserve(*ep_, ObjType::kValue8);
   ep_->commit(ObjType::kValue8, o);
   ep_->recycle_chunk_of(ObjType::kValue8, o);
   EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
@@ -200,8 +210,8 @@ TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
 
 TEST_F(EPAllocTest, StaleCommittedValueIsReclaimedOnLeafReuse) {
   // Simulate a crashed insertion: value committed, leaf bit never set.
-  const uint64_t leaf = ep_->ep_malloc(ObjType::kLeaf);
-  const uint64_t val = ep_->ep_malloc(ObjType::kValue8);
+  const uint64_t leaf = reserve(*ep_, ObjType::kLeaf);
+  const uint64_t val = reserve(*ep_, ObjType::kValue8);
   ep_->commit(ObjType::kValue8, val);
   auto* l = arena_->ptr<FakeLeaf>(leaf);
   l->p_value = val;
@@ -212,7 +222,7 @@ TEST_F(EPAllocTest, StaleCommittedValueIsReclaimedOnLeafReuse) {
 
   // The next leaf allocation receives the same slot and must reclaim the
   // dangling value (Alg. 2 lines 12-16).
-  const uint64_t leaf2 = ep_->ep_malloc(ObjType::kLeaf);
+  const uint64_t leaf2 = reserve(*ep_, ObjType::kLeaf);
   EXPECT_EQ(leaf2, leaf);
   EXPECT_EQ(arena_->ptr<FakeLeaf>(leaf2)->p_value, 0u);
   EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, val));
@@ -221,7 +231,7 @@ TEST_F(EPAllocTest, StaleCommittedValueIsReclaimedOnLeafReuse) {
 TEST_F(EPAllocTest, LiveObjectCountsTrackCommits) {
   std::vector<uint64_t> offs;
   for (int i = 0; i < 10; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
+    const uint64_t o = reserve(*ep_, ObjType::kLeaf);
     ep_->commit(ObjType::kLeaf, o);
     offs.push_back(o);
   }
@@ -233,7 +243,7 @@ TEST_F(EPAllocTest, LiveObjectCountsTrackCommits) {
 TEST_F(EPAllocTest, ForEachLiveVisitsExactlySetObjects) {
   std::set<uint64_t> live;
   for (int i = 0; i < 130; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
+    const uint64_t o = reserve(*ep_, ObjType::kLeaf);
     ep_->commit(ObjType::kLeaf, o);
     live.insert(o);
   }
@@ -256,12 +266,12 @@ TEST_F(EPAllocTest, ForEachLiveVisitsExactlySetObjects) {
 TEST_F(EPAllocTest, RecoverStructureRebuildsReachability) {
   std::vector<uint64_t> committed;
   for (int i = 0; i < 70; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
+    const uint64_t o = reserve(*ep_, ObjType::kLeaf);
     ep_->commit(ObjType::kLeaf, o);
     committed.push_back(o);
   }
   // A reserved-but-uncommitted object, lost at the crash:
-  const uint64_t reserved = ep_->ep_malloc(ObjType::kLeaf);
+  const uint64_t reserved = reserve(*ep_, ObjType::kLeaf);
   (void)reserved;
 
   arena_->crash();
@@ -271,7 +281,7 @@ TEST_F(EPAllocTest, RecoverStructureRebuildsReachability) {
   EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), committed.size());
   // The reserved slot must be allocatable again.
   std::set<uint64_t> again;
-  for (size_t i = 0; i < 2; ++i) again.insert(ep_->ep_malloc(ObjType::kLeaf));
+  for (size_t i = 0; i < 2; ++i) again.insert(reserve(*ep_, ObjType::kLeaf));
   EXPECT_TRUE(again.count(reserved) == 1);
 }
 
@@ -280,10 +290,10 @@ TEST_F(EPAllocTest, RecoveryIsLeakFreeByConstruction) {
   // in flight; after recovery, physical usage equals exactly the reachable
   // chunks.
   for (int i = 0; i < 60; ++i) {
-    ep_->commit(ObjType::kLeaf, ep_->ep_malloc(ObjType::kLeaf));
-    ep_->commit(ObjType::kValue8, ep_->ep_malloc(ObjType::kValue8));
+    ep_->commit(ObjType::kLeaf, reserve(*ep_, ObjType::kLeaf));
+    ep_->commit(ObjType::kValue8, reserve(*ep_, ObjType::kValue8));
   }
-  ep_->ep_malloc(ObjType::kValue16);  // reserved only
+  reserve(*ep_, ObjType::kValue16);  // reserved only
   arena_->crash();
   make_alloc();
   ep_->recover_structure();
@@ -327,14 +337,14 @@ TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
       EPRoot ep;
     };
     auto mk = [&] {
-      return std::make_unique<EPAllocator>(arena, &arena.root<R>()->ep,
-                                           sizeof(FakeLeaf), &fake_probe,
-                                           &fake_clear);
+      return std::make_unique<Allocator>(arena, &arena.root<R>()->ep,
+                                         sizeof(FakeLeaf), &fake_probe,
+                                         &fake_clear, kPaperAlloc);
     };
     auto ep = mk();
     std::vector<uint64_t> offs;
     for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-      const uint64_t obj = ep->ep_malloc(ObjType::kValue8);
+      const uint64_t obj = reserve(*ep, ObjType::kValue8);
       ep->commit(ObjType::kValue8, obj);
       offs.push_back(obj);
     }
@@ -361,7 +371,7 @@ TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
     // List must be walkable and the recycle log empty.
     EXPECT_EQ(arena.root<R>()->ep.rlog.pcurrent, 0u);
     // Allocation still works afterwards.
-    const uint64_t obj = ep->ep_malloc(ObjType::kValue8);
+    const uint64_t obj = reserve(*ep, ObjType::kValue8);
     ep->commit(ObjType::kValue8, obj);
     EXPECT_TRUE(ep->bit_is_set(ObjType::kValue8, obj));
   }

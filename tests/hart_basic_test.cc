@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "checked_arena.h"
+#include "hart_options.h"
 
 #include <map>
 #include <memory>
@@ -26,7 +27,7 @@ testutil::CheckedArena make_arena(size_t mb = 64) {
 
 TEST(Hart, InsertSearchRoundTrip) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   EXPECT_EQ(h.insert("hello", "world"), common::Status::kInserted);
   std::string v;
   EXPECT_EQ(h.search("hello", &v), common::Status::kOk);
@@ -38,7 +39,7 @@ TEST(Hart, InsertSearchRoundTrip) {
 
 TEST(Hart, InsertExistingKeyUpdates) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   EXPECT_EQ(h.insert("k", "v1"), common::Status::kInserted);
   EXPECT_EQ(h.insert("k", "v2"), common::Status::kUpdated) << "Alg.1 line 7-8: update, not insert";
   std::string v;
@@ -49,7 +50,7 @@ TEST(Hart, InsertExistingKeyUpdates) {
 
 TEST(Hart, UpdateRequiresExistingKey) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   EXPECT_EQ(h.update("missing", "v"), common::Status::kNotFound);
   h.insert("present", "a");
   EXPECT_EQ(h.update("present", "b"), common::Status::kOk);
@@ -60,7 +61,7 @@ TEST(Hart, UpdateRequiresExistingKey) {
 
 TEST(Hart, UpdateAcrossValueSizeClasses) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   h.insert("k", "short");                  // 8-byte class
   EXPECT_EQ(h.update("k", "a-much-longer-v"), common::Status::kOk);  // 16-byte class
   std::string v;
@@ -73,7 +74,7 @@ TEST(Hart, UpdateAcrossValueSizeClasses) {
 
 TEST(Hart, RemoveDeletesAndFreesPm) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   h.insert("a", "1");
   h.insert("b", "2");
   EXPECT_EQ(h.remove("a"), common::Status::kOk);
@@ -92,7 +93,7 @@ TEST(Hart, RemoveDeletesAndFreesPm) {
 
 TEST(Hart, KeysShorterThanHashPrefix) {
   auto arena = make_arena();
-  Hart h(*arena, {.hash_key_len = 2});
+  Hart h(*arena, testutil::hart_options({.hash_key_len = 2}));
   EXPECT_EQ(h.insert("a", "1"), common::Status::kInserted);
   EXPECT_EQ(h.insert("ab", "2"), common::Status::kInserted);
   EXPECT_EQ(h.insert("abc", "3"), common::Status::kInserted);
@@ -110,7 +111,7 @@ TEST(Hart, KeysShorterThanHashPrefix) {
 
 TEST(Hart, DistinctPrefixesUseDistinctArts) {
   auto arena = make_arena();
-  Hart h(*arena, {.hash_key_len = 2});
+  Hart h(*arena, testutil::hart_options({.hash_key_len = 2}));
   h.insert("aa111", "1");
   h.insert("aa222", "2");
   h.insert("bb111", "3");
@@ -120,7 +121,7 @@ TEST(Hart, DistinctPrefixesUseDistinctArts) {
 
 TEST(Hart, HashKeyLenZeroIsSingleArt) {
   auto arena = make_arena();
-  Hart h(*arena, {.hash_key_len = 0});
+  Hart h(*arena, testutil::hart_options({.hash_key_len = 0}));
   h.insert("alpha", "1");
   h.insert("beta", "2");
   h.insert("gamma", "3");
@@ -132,7 +133,7 @@ TEST(Hart, HashKeyLenZeroIsSingleArt) {
 
 TEST(Hart, RejectsInvalidKeysAndValues) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   const common::Status bad = common::Status::kInvalidArgument;
   EXPECT_EQ(h.insert("", "v"), bad);
   EXPECT_EQ(h.insert(std::string(25, 'x'), "v"), bad);
@@ -150,7 +151,7 @@ TEST(Hart, RejectsInvalidKeysAndValues) {
 
 TEST(Hart, RangeScanIsOrderedAcrossPartitions) {
   auto arena = make_arena();
-  Hart h(*arena, {.hash_key_len = 2});
+  Hart h(*arena, testutil::hart_options({.hash_key_len = 2}));
   const std::vector<std::string> keys = {"aa1", "aa2", "ab1", "b",
                                          "ba9", "bb0", "zz9"};
   for (const auto& key : keys) h.insert(key, "v" + key);
@@ -173,7 +174,7 @@ TEST(Hart, RecoveryRebuildsIdenticalContents) {
   common::Rng rng(11);
   std::map<std::string, std::string> ref;
   {
-    Hart h(*arena);
+    Hart h(*arena, testutil::hart_options());
     for (int i = 0; i < 2000; ++i) {
       std::string key;
       const size_t len = 3 + rng.next_below(10);
@@ -195,7 +196,7 @@ TEST(Hart, RecoveryRebuildsIdenticalContents) {
     }
   }
   // A second Hart on the same arena re-opens and recovers (Alg. 7).
-  Hart h2(*arena);
+  Hart h2(*arena, testutil::hart_options());
   EXPECT_EQ(h2.size(), ref.size());
   for (const auto& [key, value] : ref) {
     std::string v;
@@ -216,7 +217,7 @@ TEST(Hart, RecoveryRebuildsIdenticalContents) {
 
 TEST(Hart, MemoryUsageTracksBothTiers) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   const auto before = h.memory_usage();
   for (int i = 0; i < 1000; ++i)
     h.insert("key" + std::to_string(i), "value");
@@ -232,7 +233,7 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   // update = new value, log record, new value bit, leaf tail, old value
   // bit, log reclaim; delete = leaf bit, value bit, p_value clear.
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   // Warm up: create the chunks, then free every other slot. No chunk can
   // empty below, and quiesce() makes the retired slots reusable.
   for (int i = 0; i < 400; ++i)
@@ -268,23 +269,18 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
 TEST(Hart, UpdateLogSlotsNeverStraddleACacheLine) {
   // An update flushes its log record once, with PNewV stored last; that is
   // failure-atomic only if the 32-byte slot lies inside one cache line.
-  for (const auto kind : {epalloc::AllocOptions::Kind::kStriped,
-                          epalloc::AllocOptions::Kind::kLegacy}) {
-    auto arena = make_arena();
-    Hart::Options opts;
-    opts.alloc.kind = kind;
-    Hart h(*arena, opts);
-    std::vector<epalloc::UpdateLog*> held;
-    for (int i = 0; i < 16; ++i) {
-      epalloc::UpdateLog* log = h.allocator().acquire_ulog();
-      const uint64_t off = arena->off(log);
-      EXPECT_EQ(off / pmem::kCacheLine,
-                (off + sizeof(*log) - 1) / pmem::kCacheLine)
-          << h.allocator().kind_name() << " slot at offset " << off;
-      held.push_back(log);
-    }
-    for (auto* log : held) h.allocator().reclaim_ulog(log);
+  auto arena = make_arena();
+  Hart h(*arena, testutil::hart_options());
+  std::vector<epalloc::UpdateLog*> held;
+  for (int i = 0; i < 16; ++i) {
+    epalloc::UpdateLog* log = h.allocator().acquire_ulog();
+    const uint64_t off = arena->off(log);
+    EXPECT_EQ(off / pmem::kCacheLine,
+              (off + sizeof(*log) - 1) / pmem::kCacheLine)
+        << "slot at offset " << off;
+    held.push_back(log);
   }
+  for (auto* log : held) h.allocator().reclaim_ulog(log);
 }
 
 TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
@@ -293,7 +289,7 @@ TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
   // update in this slot before that update's own flush.
   auto arena = make_arena();
   {
-    Hart h(*arena);
+    Hart h(*arena, testutil::hart_options());
     h.insert("key", "old");
     h.update("key", "new");
   }
@@ -309,7 +305,7 @@ TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
   arena->trace_store(&slot, sizeof(slot));
   arena->persist(&slot, sizeof(slot));
 
-  Hart h(*arena);  // recovery
+  Hart h(*arena, testutil::hart_options());  // recovery
   EXPECT_EQ(slot.pleaf, 0u);
   EXPECT_EQ(slot.poldv, 0u);
   EXPECT_EQ(slot.pnewv, 0u);
@@ -323,7 +319,7 @@ TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
 
 TEST(Hart, MultiGetGroupsByPartition) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   std::vector<std::string> keys;
   for (int i = 0; i < 500; ++i) {
     keys.push_back("mg" + std::to_string(i));
@@ -351,7 +347,7 @@ TEST(Hart, MultiGetGroupsByPartition) {
 
 TEST(Hart, MultiGetEmptyAndInvalid) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   std::vector<std::string> vals;
   std::vector<bool> found;
   EXPECT_EQ(h.multi_get({}, &vals, &found), 0u);
@@ -368,7 +364,7 @@ TEST(Hart, MultiGetEmptyAndInvalid) {
 
 TEST(Hart, MultiGetAgreesWithSearch) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   common::Rng rng(21);
   std::vector<std::string> keys;
   for (int i = 0; i < 1000; ++i) {
@@ -390,6 +386,78 @@ TEST(Hart, MultiGetAgreesWithSearch) {
       EXPECT_EQ(v, vals[i]);
     }
   }
+}
+
+TEST(Hart, ArenaExhaustionIsATypedRefusal) {
+  // A 64 KiB arena fills after a few hundred keys. Exhaustion must come
+  // back as kOutOfMemory with nothing mutated, and freed space must be
+  // usable again.
+  pmem::Arena::Options o;
+  o.size = size_t{64} << 10;
+  o.charge_alloc_persist = false;
+  auto arena = testutil::make_checked_arena(o);
+  Hart h(*arena, testutil::hart_options());
+  auto key = [](int i) { return "oom-" + std::to_string(i); };
+  auto live = [&h] {
+    std::vector<uint64_t> n;
+    for (int t = 0; t < epalloc::kNumObjTypes; ++t)
+      n.push_back(
+          h.allocator().live_objects(static_cast<epalloc::ObjType>(t)));
+    return n;
+  };
+
+  // 8-byte values only, so no 64-byte value chunk exists yet.
+  int stored = 0;
+  common::Status s = common::Status::kInserted;
+  for (; stored < 100000; ++stored) {
+    const auto before = live();
+    s = h.insert(key(stored), "v" + std::to_string(stored % 1000));
+    if (s != common::Status::kInserted) {
+      EXPECT_EQ(live(), before) << "a refused insert left a committed slot";
+      break;
+    }
+  }
+  ASSERT_EQ(s, common::Status::kOutOfMemory);
+  ASSERT_GT(stored, 100);
+  EXPECT_EQ(h.size(), static_cast<size_t>(stored));
+  EXPECT_EQ(h.search(key(stored), nullptr), common::Status::kNotFound);
+  for (int i = 0; i < stored; ++i) {
+    std::string v;
+    ASSERT_EQ(h.search(key(i), &v), common::Status::kOk) << key(i);
+    EXPECT_EQ(v, "v" + std::to_string(i % 1000));
+  }
+  const auto full = live();
+  EXPECT_EQ(full[0], static_cast<uint64_t>(stored));
+  {
+    const VerifyReport rep = verify_hart_image(*arena);
+    EXPECT_TRUE(rep.ok()) << rep.summary();
+    EXPECT_EQ(rep.live_leaves, static_cast<uint64_t>(stored));
+  }
+
+  // An update into the empty 64-byte class needs a new chunk: refused, and
+  // the old value stays.
+  EXPECT_EQ(h.update(key(3), std::string(64, 'x')),
+            common::Status::kOutOfMemory);
+  EXPECT_EQ(h.insert(key(3), std::string(64, 'x')),
+            common::Status::kOutOfMemory);
+  std::string v;
+  ASSERT_EQ(h.search(key(3), &v), common::Status::kOk);
+  EXPECT_EQ(v, "v3");
+  EXPECT_EQ(live(), full);
+  EXPECT_TRUE(verify_hart_image(*arena).ok());
+
+  // Free a hundred keys; once their grace period is over the refused key
+  // fits again.
+  for (int i = 0; i < 100; ++i)
+    ASSERT_EQ(h.remove(key(i)), common::Status::kOk);
+  h.quiesce();
+  EXPECT_EQ(h.insert(key(stored), "late"), common::Status::kInserted);
+  ASSERT_EQ(h.search(key(stored), &v), common::Status::kOk);
+  EXPECT_EQ(v, "late");
+  EXPECT_EQ(h.size(), static_cast<size_t>(stored - 100 + 1));
+  const VerifyReport rep = verify_hart_image(*arena);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+  EXPECT_EQ(rep.live_leaves, static_cast<uint64_t>(stored - 100 + 1));
 }
 
 }  // namespace

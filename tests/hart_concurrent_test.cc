@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "checked_arena.h"
+#include "hart_options.h"
 
 #include <atomic>
 #include <barrier>
@@ -30,7 +31,7 @@ testutil::CheckedArena make_arena(size_t mb = 256) {
 
 TEST(HartConcurrent, ParallelInsertsDisjointPrefixes) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 3000;
   std::vector<std::thread> threads;
@@ -55,7 +56,7 @@ TEST(HartConcurrent, ParallelInsertsDisjointPrefixes) {
 
 TEST(HartConcurrent, ParallelUpsertsSamePrefixSerialize) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   constexpr int kThreads = 8;
   constexpr int kKeys = 200;
   std::vector<std::thread> threads;
@@ -80,7 +81,7 @@ TEST(HartConcurrent, ParallelUpsertsSamePrefixSerialize) {
 
 TEST(HartConcurrent, ReadersRunDuringWrites) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   const auto keys = workload::make_random(20000, 9);
   for (size_t i = 0; i < keys.size() / 2; ++i) h.insert(keys[i], "stable");
 
@@ -119,7 +120,7 @@ TEST(HartConcurrent, ReadersRunDuringWrites) {
 
 TEST(HartConcurrent, FullChurnStressThenValidate) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   constexpr int kThreads = 8;
   const auto keys = workload::make_random(8000, 123);
   // Each thread owns a disjoint slice of keys (the index itself still
@@ -170,7 +171,7 @@ TEST(HartConcurrent, FullChurnStressThenValidate) {
   EXPECT_EQ(h.size(), total);
 
   // And the whole thing still recovers to the same state.
-  Hart h2(*arena);
+  Hart h2(*arena, testutil::hart_options());
   EXPECT_EQ(h2.size(), total);
   for (int t = 0; t < kThreads; ++t)
     for (const auto& [k, v] : finals[t]) {
@@ -182,7 +183,7 @@ TEST(HartConcurrent, FullChurnStressThenValidate) {
 
 TEST(HartConcurrent, ConcurrentRangeScans) {
   auto arena = make_arena();
-  Hart h(*arena);
+  Hart h(*arena, testutil::hart_options());
   const auto keys = workload::make_sequential(5000);
   for (const auto& k : keys) h.insert(k, "v");
   std::vector<std::thread> threads;

@@ -182,7 +182,6 @@ const SweepConfig kConfigs[] = {
 Hart::Options hart_options(const SweepConfig& cfg) {
   Hart::Options o;
   o.hash_buckets = 64;  // a fresh Hart per crash point: keep it cheap
-  o.alloc.kind = epalloc::AllocOptions::Kind::kStriped;
   o.alloc.batched_meta = cfg.batched_meta;
   return o;
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "checked_arena.h"
+#include "hart_options.h"
 
 #include <map>
 #include <memory>
@@ -51,7 +52,7 @@ TEST(HartCrash, InsertSweep) {
     auto arena = make_arena();
     size_t committed = 0;
     {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       arena->arm_crash_after(crash_at);
       try {
         for (const auto& k : keys) {
@@ -63,7 +64,7 @@ TEST(HartCrash, InsertSweep) {
         arena->crash();
       }
     }
-    Hart h2(*arena);  // recovery (Algorithm 7)
+    Hart h2(*arena, testutil::hart_options());  // recovery (Algorithm 7)
     EXPECT_GE(h2.size(), committed);
     EXPECT_LE(h2.size(), committed + 1);
     for (size_t i = 0; i < committed; ++i) {
@@ -90,7 +91,7 @@ TEST(HartCrash, UpdateSweepHonorsLogCases) {
     auto arena = make_arena();
     size_t updated = 0;
     {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       for (const auto& k : keys) h.insert(k, "old");
       arena->arm_crash_after(crash_at);
       try {
@@ -103,7 +104,7 @@ TEST(HartCrash, UpdateSweepHonorsLogCases) {
         arena->crash();
       }
     }
-    Hart h2(*arena);
+    Hart h2(*arena, testutil::hart_options());
     EXPECT_EQ(h2.size(), keys.size()) << "updates never change the key set";
     for (size_t i = 0; i < keys.size(); ++i) {
       std::string v;
@@ -130,7 +131,7 @@ TEST(HartCrash, DeleteSweep) {
     auto arena = make_arena();
     size_t removed = 0;
     {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       for (const auto& k : keys) h.insert(k, "v");
       arena->arm_crash_after(crash_at);
       try {
@@ -143,7 +144,7 @@ TEST(HartCrash, DeleteSweep) {
         arena->crash();
       }
     }
-    Hart h2(*arena);
+    Hart h2(*arena, testutil::hart_options());
     for (size_t i = 0; i < keys.size(); ++i) {
       const bool found = h2.search(keys[i], nullptr).ok();
       if (i < removed) {
@@ -172,7 +173,7 @@ TEST(HartCrash, MixedChurnSweepWithEviction) {
     std::string pending_key;    // key targeted by the op in flight at crash
     std::string pending_value;  // its would-be value ("" for a delete)
     {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       common::Rng rng(crash_at);
       arena->arm_crash_after(crash_at);
       try {
@@ -208,7 +209,7 @@ TEST(HartCrash, MixedChurnSweepWithEviction) {
         arena->crash();
       }
     }
-    Hart h2(*arena);
+    Hart h2(*arena, testutil::hart_options());
     // Every committed entry must be present with its exact value — except
     // the key of the one in-flight op, which may legitimately reflect
     // either the old committed state or the in-flight op's effect (and
@@ -242,7 +243,7 @@ TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
   for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
     auto arena = make_arena();
     {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       h.insert("k3", "old");
       arena->arm_crash_after(crash_at);
       try {
@@ -252,7 +253,7 @@ TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
         arena->crash();
       }
     }
-    Hart h2(*arena);
+    Hart h2(*arena, testutil::hart_options());
     ASSERT_EQ(h2.update("k3", "new"), common::Status::kOk);
     ASSERT_EQ(h2.insert("k4", "v4"), common::Status::kInserted);
     ASSERT_EQ(h2.insert("k5", "v5"), common::Status::kInserted);
@@ -271,7 +272,7 @@ TEST(HartCrash, RepeatedCrashesDuringRecovery) {
   const auto keys = workload::make_random(60, 3, 4, 10);
   auto arena = make_arena();
   {
-    Hart h(*arena);
+    Hart h(*arena, testutil::hart_options());
     for (const auto& k : keys) h.insert(k, "old");
     arena->arm_crash_after(40);
     try {
@@ -285,7 +286,7 @@ TEST(HartCrash, RepeatedCrashesDuringRecovery) {
   for (uint64_t k = 1; k <= 5; ++k) {
     arena->arm_crash_after(k);
     try {
-      Hart h(*arena);
+      Hart h(*arena, testutil::hart_options());
       arena->disarm_crash();
       break;  // recovery completed
     } catch (const pmem::CrashPoint&) {
@@ -293,7 +294,7 @@ TEST(HartCrash, RepeatedCrashesDuringRecovery) {
     }
   }
   arena->disarm_crash();
-  Hart h2(*arena);
+  Hart h2(*arena, testutil::hart_options());
   EXPECT_EQ(h2.size(), keys.size());
   for (const auto& k : keys) {
     std::string v;

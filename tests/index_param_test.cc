@@ -3,6 +3,8 @@
 // scenario against all four trees via TEST_P.
 #include <gtest/gtest.h>
 
+#include "hart_options.h"
+
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,7 +31,9 @@ struct TreeFactory {
 
 const TreeFactory kFactories[] = {
     {"HART",
-     [](pmem::Arena& a) { return std::make_unique<core::Hart>(a); }},
+     [](pmem::Arena& a) {
+       return std::make_unique<core::Hart>(a, testutil::hart_options());
+     }},
     {"WOART",
      [](pmem::Arena& a) { return std::make_unique<pmart::Woart>(a); }},
     {"ARTCoW",

@@ -4,6 +4,8 @@
 // Parameterized over (tree, workload).
 #include <gtest/gtest.h>
 
+#include "hart_options.h"
+
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,7 +28,9 @@ struct Factory {
   std::function<std::unique_ptr<common::Index>(pmem::Arena&)> make;
 };
 const Factory kFactories[] = {
-    {"HART", [](pmem::Arena& a) { return std::make_unique<core::Hart>(a); }},
+    {"HART", [](pmem::Arena& a) {
+       return std::make_unique<core::Hart>(a, testutil::hart_options());
+     }},
     {"WOART",
      [](pmem::Arena& a) { return std::make_unique<pmart::Woart>(a); }},
     {"ARTCoW",

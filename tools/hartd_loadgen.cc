@@ -102,7 +102,7 @@ void usage(const char* argv0) {
       "  in-process server knobs (--inproc), shared with hartd:\n"
       "  --shards N --batch N --queue N --arena-dir D --arena-mb N\n"
       "  --latency W/R --bloom-bits-per-key N --rwlock-reads --check\n"
-      "  --legacy-alloc --alloc-stripes N --eager-meta\n"
+      "  --alloc-stripes N --eager-meta\n"
       "  --spin-latency    busy-wait injected latency per persist instead\n"
       "                    of banking it and sleeping once per batch\n"
       "  --help            this text\n",

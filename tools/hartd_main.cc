@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
         tcp.port(), db.shard_count(), cfg.service.batch_size,
         cfg.service.arena_dir.empty() ? ", in-memory arenas" : ", file-backed",
         recovered ? " (recovered existing shards)" : "");
-    std::printf("hartd: allocator %s, %zu stripe(s) per shard\n",
+    std::printf("hartd: allocator %s, %u stripe(s) per shard\n",
                 db.shard(0).hart().allocator().kind_name(),
                 db.shard(0).hart().allocator().stripe_count());
     std::printf("hartd: role %s%s%s\n", hart::repl::role_name(db.role()),

@@ -1,9 +1,5 @@
 #!/usr/bin/env bash
-# svc_smoke.sh HARTD_BIN LOADGEN_BIN [SECONDS] [EXTRA_FLAGS]
-#
-# EXTRA_FLAGS (word-split) are passed to every hartd invocation; ctest's
-# svc_smoke_legacy_alloc leg uses this to run the same SIGKILL/restart
-# contract under --legacy-alloc.
+# svc_smoke.sh HARTD_BIN LOADGEN_BIN [SECONDS]
 #
 # The hartd SIGKILL/restart smoke: start the server with file-backed
 # arenas, drive it over TCP loopback for SECONDS seconds while recording
@@ -16,7 +12,6 @@ set -euo pipefail
 HARTD=${1:?usage: svc_smoke.sh HARTD LOADGEN [SECONDS]}
 LOADGEN=${2:?usage: svc_smoke.sh HARTD LOADGEN [SECONDS]}
 SECS=${3:-5}
-EXTRA_FLAGS=${4:-}
 
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/hart_svc_smoke.XXXXXX")
 SRV=
@@ -32,7 +27,7 @@ trap cleanup EXIT
 start_server() { # $1 = extra flags
   # shellcheck disable=SC2086
   "$HARTD" --port 0 --port-file "$DIR/port" --shards 4 --batch 32 \
-           --arena-dir "$DIR/arenas" --arena-mb 64 $EXTRA_FLAGS $1 &
+           --arena-dir "$DIR/arenas" --arena-mb 64 $1 &
   SRV=$!
   for _ in $(seq 100); do
     [ -s "$DIR/port" ] && break
