@@ -33,9 +33,7 @@ const char* type_name(int t) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
   const std::string file = argv[1];
   const std::string cmd = argv[2];
@@ -50,8 +48,11 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "verify") {
-    // Offline: no Hart instance, the raw image is inspected as-is.
-    const auto report = hart::core::verify_hart_image(arena);
+    // Offline: no Hart instance, the raw image is inspected as-is. It may
+    // be straight from a crash, so orphaned values are only a warning
+    // here; `recover` verifies strictly after recovery.
+    const auto report = hart::core::verify_hart_image(
+        arena, hart::core::ImageState::kCrashed);
     std::cout << report.summary() << "\n";
     for (const auto& issue : report.issues)
       std::cout << (issue.severity ==
@@ -121,4 +122,16 @@ int main(int argc, char** argv) {
   }
 
   return usage(argv[0]);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const hart::core::FormatError& e) {
+    // An image written by an incompatible build is refused untouched.
+    std::cerr << argv[1] << ": " << e.what() << "\n";
+    return 1;
+  }
 }

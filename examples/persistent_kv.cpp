@@ -27,9 +27,7 @@ int usage(const char* prog) {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
   const std::string file = argv[1];
   const std::string cmd = argv[2];
@@ -82,4 +80,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   return usage(argv[0]);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const hart::core::FormatError& e) {
+    // An image written by an incompatible build is refused untouched.
+    std::cerr << argv[1] << ": " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -23,8 +23,8 @@
 //     CondVar::wait(mu) — TSA analyzes lambdas as separate functions, so
 //     the predicate-lambda form of std::condition_variable::wait() would
 //     hide the capability and is not used in annotated code.
-//   * Data read by optimistic/seqlock readers (ART node words, leaf vseq,
-//     Partition::tree under version validation) is deliberately NOT
+//   * Data read by optimistic/seqlock readers (ART node words, the leaf value
+//     word, Partition::tree under version validation) is deliberately NOT
 //     GUARDED_BY — those protocols are checked by tools/hartlint instead.
 //   * NO_THREAD_SAFETY_ANALYSIS is a last resort and needs a comment.
 #pragma once

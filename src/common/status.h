@@ -25,6 +25,8 @@ class Status {
     kInvalidArgument = 4,  // malformed key or value; nothing was mutated
     kOutOfMemory = 5,      // arena exhausted; nothing was mutated
     kUnavailable = 6,      // service/transport failure (client-side)
+    kUnsupportedFormat = 7,  // PM image of another on-media format; refused
+                             // before anything was read or written
   };
 
   constexpr Status() = default;
@@ -50,6 +52,7 @@ class Status {
       case kNotFound: return "not-found";
       case kOutOfMemory: return "out-of-memory";
       case kUnavailable: return "unavailable";
+      case kUnsupportedFormat: return "unsupported-format";
       default: return "invalid-argument";
     }
   }

@@ -23,8 +23,6 @@ struct EpCounters {
   obs::Counter& free_obj;
   obs::Counter& chunk_alloc;
   obs::Counter& chunk_recycle;
-  obs::Counter& ulog_take;
-  obs::Counter& ulog_reclaim;
   obs::Counter& stale_value_reclaim;
   obs::Counter& pm_meta_persists;
   obs::Counter& stripe_steals;
@@ -42,8 +40,6 @@ EpCounters& ep_counters() {
       reg.counter("ep_free_total"),
       reg.counter("ep_chunk_alloc_total"),
       reg.counter("ep_chunk_recycle_total"),
-      reg.counter("ep_ulog_take_total"),
-      reg.counter("ep_ulog_reclaim_total"),
       reg.counter("ep_stale_value_reclaim_total"),
       reg.counter("epalloc_pm_meta_persists_total"),
       reg.counter("epalloc_stripe_steals_total"),
@@ -54,12 +50,23 @@ EpCounters& ep_counters() {
   return c;
 }
 
-/// Process-wide thread ordinal for round-robin thread->stripe equalization.
+/// Process-wide thread ordinal: a thread's first reserve of a type starts
+/// at a round-robin home stripe.
 uint32_t thread_ordinal() {
   static std::atomic<uint32_t> next{0};
   thread_local const uint32_t mine =
       next.fetch_add(1, std::memory_order_relaxed);
   return mine;
+}
+
+/// Per thread and type, the stripe that served the thread's last reserve
+/// (reduced mod the allocator's stripe count, so one hint serves every
+/// allocator the thread uses). kNoStripe until the first reserve.
+constexpr uint32_t kNoStripe = ~uint32_t{0};
+uint32_t& stripe_hint(ObjType t) {
+  thread_local uint32_t hint[kNumObjTypes] = {kNoStripe, kNoStripe, kNoStripe,
+                                              kNoStripe, kNoStripe};
+  return hint[static_cast<int>(t)];
 }
 
 /// Resolve AllocOptions::stripes: 0 = auto (min(hw threads, 8)), clamped
@@ -81,8 +88,7 @@ Allocator::Allocator(pmem::Arena& arena, EPRoot* root, uint32_t leaf_obj_size,
       probe_(probe),
       clear_(clear),
       nstripes_(resolve_stripes(opts.stripes)),
-      batched_(opts.batched_meta),
-      ulog_slots_(line_contained_ulog_slots(arena.off(root->ulogs))) {
+      batched_(opts.batched_meta) {
   types_[static_cast<int>(ObjType::kLeaf)].geom =
       TypeGeometry::for_obj_size(leaf_obj_size);
   for (int t = 1; t < kNumObjTypes; ++t)
@@ -107,6 +113,26 @@ Allocator::~Allocator() {
 void Allocator::persist_head(ObjType t) {
   arena_.trace_store(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
   arena_.persist(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
+}
+
+Allocator::ChunkState& Allocator::add_chunk_locked(const TypeState& st,
+                                                   Stripe& s,
+                                                   uint64_t chunk_off) {
+  const size_t i = table_slot(st, chunk_off);
+  if (i >= s.table.size()) s.table.resize(i + 1);
+  ChunkState& cs = s.table[i];
+  assert(!cs.live);
+  cs = ChunkState{};
+  cs.live = true;
+  ++s.nchunks;
+  return cs;
+}
+
+void Allocator::set_prev_locked(TypeState& st, uint64_t chunk_off,
+                                uint64_t prev) {
+  const size_t i = chunk_off / st.geom.stride;
+  if (i >= st.prev.size()) st.prev.resize(i + 1);
+  st.prev[i] = prev;
 }
 
 void Allocator::make_available_locked(Stripe& s, uint64_t chunk_off,
@@ -135,13 +161,16 @@ uint64_t Allocator::new_chunk_list_locked(TypeState& st, ObjType t) {
   // recovery reachability scan frees it.
   // List links always persist eagerly, even in batched mode — recovery
   // walks them before any flush_metadata could run.
+  const uint64_t old_head = root_->heads[static_cast<int>(t)];
   std::memset(c, 0, g.chunk_bytes);
   c->header = ChunkHdr::make(0, 0, kIndAvailable);
-  c->pnext = root_->heads[static_cast<int>(t)];
+  c->pnext = old_head;
   arena_.trace_store(c, g.chunk_bytes);
   arena_.persist(c, g.chunk_bytes);
   root_->heads[static_cast<int>(t)] = off;
   persist_head(t);
+  set_prev_locked(st, off, 0);
+  if (old_head != pmem::kNullOff) set_prev_locked(st, old_head, off);
   ep_counters().chunk_alloc.inc();
   return off;
 }
@@ -151,12 +180,12 @@ bool Allocator::try_reserve_in_stripe(TypeState& st, Stripe& s,
   common::MutexLock lk(s.mu);
   while (!s.avail.empty()) {
     const uint64_t c_off = s.avail.back();
-    auto it = s.chunks.find(c_off);
-    if (it == s.chunks.end()) {  // recycled; stale avail entry
+    ChunkState* found = find_locked(st, s, c_off);
+    if (found == nullptr) {  // recycled; stale avail entry
       s.avail.pop_back();
       continue;
     }
-    ChunkState& cs = it->second;
+    ChunkState& cs = *found;
     // All allocation decisions read the DRAM shadow; pending-free slots
     // stay occupied until their cleared header is durable.
     const uint64_t occupied =
@@ -178,29 +207,30 @@ uint64_t Allocator::reserve_impl(ObjType t) {
   ep_counters().ep_malloc.inc();
   TypeState& st = ts(t);
   uint64_t obj_off = 0;
-  const uint32_t home = thread_ordinal() % nstripes_;
+  uint32_t& hint = stripe_hint(t);
+  const uint32_t first =
+      (hint == kNoStripe ? thread_ordinal() : hint) % nstripes_;
   for (uint32_t k = 0; k < nstripes_; ++k) {
-    Stripe& s = st.stripes[(home + k) % nstripes_];
-    if (try_reserve_in_stripe(st, s, &obj_off)) {
+    const uint32_t si = (first + k) % nstripes_;
+    if (try_reserve_in_stripe(st, st.stripes[si], &obj_off)) {
       if (k != 0) ep_counters().stripe_steals.inc();
+      hint = si;
       break;
     }
   }
   if (obj_off == 0) {
     // Every stripe exhausted: grow the chunk list. Which stripe the new
     // chunk lands on is decided by its offset (the deterministic map), not
-    // by the allocating thread.
-    uint64_t c_off = 0;
-    {
-      common::MutexLock hlk(st.head_mu);
-      c_off = new_chunk_list_locked(st, t);
-    }
+    // by the allocating thread; the thread's next reserve starts there.
+    common::MutexLock hlk(st.head_mu);
+    const uint64_t c_off = new_chunk_list_locked(st, t);
     Stripe& s = stripe_for(st, c_off);
     common::MutexLock lk(s.mu);
-    ChunkState& cs = s.chunks[c_off];
+    ChunkState& cs = add_chunk_locked(st, s, c_off);
     cs.reserved = 1;  // slot 0 goes to this thread
     obj_off = st.geom.object_off(c_off, 0);
     make_available_locked(s, c_off, cs);
+    hint = stripe_index(st, c_off);
   }
 
   // PMCheck: the slot may be re-used space whose previous content was
@@ -214,8 +244,8 @@ uint64_t Allocator::reserve_impl(ObjType t) {
     const LeafValueRef ref = probe_(arena_, obj_off);
     if (ref.value_off != 0 && bit_is_set(ref.cls, ref.value_off)) {
       ep_counters().stale_value_reclaim.inc();
-      free_object(ref.cls, ref.value_off);
-      recycle_chunk_of(ref.cls, ref.value_off);
+      if (free_object(ref.cls, ref.value_off))
+        recycle_chunk_of(ref.cls, ref.value_off);
       clear_(arena_, obj_off);
     }
   }
@@ -245,9 +275,9 @@ void Allocator::commit(ObjType t, uint64_t obj_off) {
       .store(ChunkHdr::with_bit(c->header, idx, true),
              std::memory_order_release);
   arena_.trace_store(&c->header, sizeof(c->header));
-  auto it = s.chunks.find(c_off);
-  assert(it != s.chunks.end());
-  ChunkState& cs = it->second;
+  ChunkState* found = find_locked(st, s, c_off);
+  assert(found != nullptr);
+  ChunkState& cs = *found;
   cs.shadow |= (uint64_t{1} << idx);
   cs.reserved &= ~(uint64_t{1} << idx);
   if (batched_) {
@@ -265,13 +295,13 @@ void Allocator::release(ObjType t, uint64_t obj_off) {
   const uint32_t idx = st.geom.index_of(obj_off);
   Stripe& s = stripe_for(st, c_off);
   common::MutexLock lk(s.mu);
-  auto it = s.chunks.find(c_off);
-  assert(it != s.chunks.end());
-  it->second.reserved &= ~(uint64_t{1} << idx);
-  make_available_locked(s, c_off, it->second);
+  ChunkState* cs = find_locked(st, s, c_off);
+  assert(cs != nullptr);
+  cs->reserved &= ~(uint64_t{1} << idx);
+  make_available_locked(s, c_off, *cs);
 }
 
-void Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
+bool Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
                                  bool retire) {
   ep_counters().free_obj.inc();
   const uint64_t c_off = st.geom.chunk_of(obj_off);
@@ -282,9 +312,9 @@ void Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
       .store(ChunkHdr::with_bit(c->header, idx, false),
              std::memory_order_release);
   arena_.trace_store(&c->header, sizeof(c->header));
-  auto it = s.chunks.find(c_off);
-  assert(it != s.chunks.end());
-  ChunkState& cs = it->second;
+  ChunkState* found = find_locked(st, s, c_off);
+  assert(found != nullptr);
+  ChunkState& cs = *found;
   cs.shadow &= ~(uint64_t{1} << idx);
   if (retire) {
     // No make_available: the retired bit keeps reserve() away until
@@ -302,13 +332,14 @@ void Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
     ep_counters().pm_meta_persists.inc();
   }
   if (!retire) make_available_locked(s, c_off, cs);
+  return cs.empty();
 }
 
-void Allocator::free_object(ObjType t, uint64_t obj_off) {
+bool Allocator::free_object(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   Stripe& s = stripe_for(st, st.geom.chunk_of(obj_off));
   common::MutexLock lk(s.mu);
-  free_slot_locked(st, s, obj_off, /*retire=*/false);
+  return free_slot_locked(st, s, obj_off, /*retire=*/false);
 }
 
 void Allocator::free_object_retired(ObjType t, uint64_t obj_off) {
@@ -318,22 +349,25 @@ void Allocator::free_object_retired(ObjType t, uint64_t obj_off) {
   free_slot_locked(st, s, obj_off, /*retire=*/true);
 }
 
-void Allocator::free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
-                                     uint64_t val_off) {
+Allocator::Emptied Allocator::free_leaf_with_value(uint64_t leaf_off,
+                                                   ObjType vcls,
+                                                   uint64_t val_off) {
   TypeState& leaf_st = ts(ObjType::kLeaf);
   // Holding the freed leaf's *stripe* mutex throughout blocks exactly the
   // reservations that could race the stale-value probe against this clear
   // (a slot can only be re-reserved under its own stripe's mutex).
   Stripe& ls = stripe_for(leaf_st, leaf_st.geom.chunk_of(leaf_off));
   common::MutexLock lk(ls.mu);
-  free_slot_locked(leaf_st, ls, leaf_off, /*retire=*/false);
+  Emptied e;
+  e.leaf = free_slot_locked(leaf_st, ls, leaf_off, /*retire=*/false);
   {
     TypeState& val_st = ts(vcls);
     Stripe& vs = stripe_for(val_st, val_st.geom.chunk_of(val_off));
     common::MutexLock vlk(vs.mu);
-    free_slot_locked(val_st, vs, val_off, /*retire=*/false);
+    e.value = free_slot_locked(val_st, vs, val_off, /*retire=*/false);
   }
   clear_(arena_, leaf_off);
+  return e;
 }
 
 void Allocator::free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
@@ -360,13 +394,14 @@ void Allocator::release_retired(ObjType t, uint64_t obj_off) {
   {
     Stripe& s = stripe_for(st, c_off);
     common::MutexLock lk(s.mu);
-    auto it = s.chunks.find(c_off);
-    if (it == s.chunks.end()) return;  // chunk freed across a recovery
+    ChunkState* cs = find_locked(st, s, c_off);
+    if (cs == nullptr) return;  // chunk freed across a recovery
     const uint32_t idx = st.geom.index_of(obj_off);
-    it->second.retired &= ~(uint64_t{1} << idx);
-    make_available_locked(s, c_off, it->second);
+    cs->retired &= ~(uint64_t{1} << idx);
+    make_available_locked(s, c_off, *cs);
+    if (!cs->empty()) return;
   }
-  // The free skipped EPRecycle; run it now that the slot is reusable.
+  // The free skipped EPRecycle; run it now that the chunk is empty.
   recycle_chunk_of(t, obj_off);
 }
 
@@ -376,27 +411,26 @@ bool Allocator::bit_is_set(ObjType t, uint64_t obj_off) const {
   const uint32_t idx = st.geom.index_of(obj_off);
   Stripe& s = stripe_for(st, c_off);
   common::MutexLock lk(s.mu);
-  auto it = s.chunks.find(c_off);
-  if (it == s.chunks.end()) return false;
-  return (it->second.shadow >> idx) & 1;  // DRAM shadow, no PM read
+  const ChunkState* cs = find_locked(st, s, c_off);
+  if (cs == nullptr) return false;
+  return (cs->shadow >> idx) & 1;  // DRAM shadow, no PM read
 }
 
 void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
-  // Lock order: head_mu (list stability, including the prev-walk below)
-  // -> stripe mu -> rlog_mu_.
+  // Lock order: head_mu (list topology and the prev links) -> stripe mu ->
+  // rlog_mu_.
   common::MutexLock hlk(st.head_mu);
   Stripe& s = stripe_for(st, c_off);
   common::MutexLock lk(s.mu);
-  auto it = s.chunks.find(c_off);
-  if (it == s.chunks.end()) return;  // already recycled
-  ChunkState& cs = it->second;
+  ChunkState* found = find_locked(st, s, c_off);
+  if (found == nullptr) return;  // already recycled
+  ChunkState& cs = *found;
   // Algorithm 6 lines 1-2: only an entirely empty chunk is recycled.
-  // Retired and pending-free slots count as occupied.
-  if (cs.shadow != 0 || cs.reserved != 0 || cs.retired != 0 ||
-      cs.pending != 0)
-    return;
+  // Retired and pending-free slots count as occupied. The caller saw the
+  // chunk empty, but another thread may have reserved in it since.
+  if (!cs.empty()) return;
   auto* c = chunk_ptr(c_off);
   assert(ChunkHdr::bitmap(c->header) == 0);
   if (cs.dirty) {
@@ -407,18 +441,15 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
     cs.dirty = false;
   }
 
-  // No volatile prev pointer per chunk: chunk-list topology is
-  // guarded by head_mu, so walking for the predecessor here is safe and
-  // keeps the per-chunk DRAM state smaller.
-  uint64_t prev = 0;
-  if (root_->heads[static_cast<int>(t)] != c_off) {
-    uint64_t p = root_->heads[static_cast<int>(t)];
-    while (p != pmem::kNullOff && chunk_ptr(p)->pnext != c_off)
-      p = chunk_ptr(p)->pnext;
-    assert(p != pmem::kNullOff);
-    if (p == pmem::kNullOff) return;  // not linked (corrupt list); bail
-    prev = p;
-  }
+  const uint64_t prev = st.prev[c_off / st.geom.stride];
+  const uint64_t next = c->pnext;
+  // A stale link would write a wrong pnext into another chunk: refuse
+  // before the recycle log is touched (one read of a line the unlink
+  // touches anyway).
+  if ((prev != 0 ? chunk_ptr(prev)->pnext
+                 : root_->heads[static_cast<int>(t)]) != c_off)
+    throw std::logic_error("EPAllocator: stale predecessor link for chunk " +
+                           std::to_string(c_off));
 
   common::MutexLock rlk(rlog_mu_);
   RecycleLog& rlog = root_->rlog;
@@ -427,7 +458,6 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   arena_.trace_store(&rlog, sizeof(rlog));
   arena_.persist(&rlog, sizeof(rlog));
 
-  const uint64_t next = c->pnext;
   if (prev == 0) {
     root_->heads[static_cast<int>(t)] = next;
     persist_head(t);
@@ -440,7 +470,9 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
     arena_.trace_store(&pc->pnext, sizeof(pc->pnext));
     arena_.persist(&pc->pnext, sizeof(pc->pnext));
   }
-  s.chunks.erase(it);  // stale avail entries are skipped on pop
+  if (next != pmem::kNullOff) set_prev_locked(st, next, prev);
+  cs = ChunkState{};  // stale avail/dirty entries are skipped on use
+  --s.nchunks;
   arena_.free(c_off, st.geom.chunk_bytes, st.geom.stride);
   ep_counters().chunk_recycle.inc();
 
@@ -457,14 +489,14 @@ void Allocator::flush_metadata(uint64_t /*epoch*/) {
       common::MutexLock lk(s.mu);
       if (s.dirty_chunks.empty()) continue;
       for (const uint64_t c_off : s.dirty_chunks) {
-        auto it = s.chunks.find(c_off);
+        ChunkState* found = find_locked(st, s, c_off);
         // Stale entry (chunk recycled, possibly even re-spawned clean).
-        if (it == s.chunks.end() || !it->second.dirty) continue;
+        if (found == nullptr || !found->dirty) continue;
         arena_.persist(&chunk_ptr(c_off)->header,
                        sizeof(chunk_ptr(c_off)->header));
         ep_counters().pm_meta_persists.inc();
         any = true;
-        ChunkState& cs = it->second;
+        ChunkState& cs = *found;
         cs.dirty = false;
         cs.pending = 0;  // cleared bits are durable: slots reusable
         if ((cs.shadow | cs.reserved | cs.retired) != kBitmapMask)
@@ -474,34 +506,6 @@ void Allocator::flush_metadata(uint64_t /*epoch*/) {
     }
   }
   if (any) ep_counters().meta_flush_batches.inc();
-}
-
-UpdateLog* Allocator::acquire_ulog() {
-  for (;;) {
-    {
-      common::MutexLock lk(ulog_mu_);
-      const auto idx =
-          static_cast<uint32_t>(std::countr_one(ulog_busy_ | ~ulog_slots_));
-      if (idx < kUpdateLogSlots) {
-        ulog_busy_ |= (uint32_t{1} << idx);
-        ep_counters().ulog_take.inc();
-        return &root_->ulogs[idx];
-      }
-    }
-    std::this_thread::yield();  // all slots in flight; extremely unlikely
-  }
-}
-
-void Allocator::reclaim_ulog(UpdateLog* log) {
-  // Always eager: a deferred zero-persist could leave a completed log
-  // durable, and recovery would replay it against recycled objects.
-  ep_counters().ulog_reclaim.inc();
-  *log = UpdateLog{};
-  arena_.trace_store(log, sizeof(*log));
-  arena_.persist(log, sizeof(*log));
-  const auto idx = static_cast<uint32_t>(log - root_->ulogs);
-  common::MutexLock lk(ulog_mu_);
-  ulog_busy_ &= ~(uint32_t{1} << idx);
 }
 
 void Allocator::finish_recycle_log() {
@@ -533,16 +537,17 @@ void Allocator::recover_structure() {
 
   arena_.reset_alloc_map();
   for (auto& st : types_) {
+    {
+      common::MutexLock hlk(st.head_mu);
+      st.prev.clear();
+    }
     for (auto& s : st.stripes) {
       common::MutexLock lk(s.mu);
-      s.chunks.clear();
+      s.table.clear();
+      s.nchunks = 0;
       s.avail.clear();
       s.dirty_chunks.clear();
     }
-  }
-  {
-    common::MutexLock lk(ulog_mu_);
-    ulog_busy_ = 0;
   }
 
   const uint64_t max_chunks =
@@ -551,25 +556,23 @@ void Allocator::recover_structure() {
     TypeState& st = types_[ti];
     common::MutexLock hlk(st.head_mu);
     uint64_t off = root_->heads[ti];
+    uint64_t prev = 0;
     uint64_t n = 0;
     while (off != pmem::kNullOff) {
       if (++n > max_chunks)
         throw std::runtime_error("epalloc: cyclic chunk list");
       arena_.mark_used(off, st.geom.chunk_bytes);
       auto* c = chunk_ptr(off);
+      set_prev_locked(st, off, prev);
       Stripe& s = stripe_for(st, off);
       common::MutexLock lk(s.mu);
-      ChunkState& cs = s.chunks[off];
+      ChunkState& cs = add_chunk_locked(st, s, off);
       // DRAM shadows rebuild straight from the durable PM headers; the
-      // caller's micro-log replay then applies its fix-ups through the
-      // normal commit/free paths, which keep the shadows in sync.
+      // caller's recovery repairs then go through the normal commit/free
+      // paths, which keep the shadows in sync.
       cs.shadow = ChunkHdr::bitmap(c->header);
-      cs.reserved = 0;
-      cs.retired = 0;
-      cs.pending = 0;
-      cs.dirty = false;
-      cs.in_avail = false;
       if (cs.shadow != kBitmapMask) make_available_locked(s, off, cs);
+      prev = off;
       off = c->pnext;
     }
   }
@@ -606,7 +609,7 @@ uint64_t Allocator::live_objects(ObjType t) const {
   uint64_t total = 0;
   for (const auto& s : st.stripes) {
     common::MutexLock lk(s.mu);
-    for (const auto& [off, cs] : s.chunks)
+    for (const ChunkState& cs : s.table)
       total += static_cast<uint64_t>(std::popcount(cs.shadow));
   }
   return total;
@@ -617,7 +620,7 @@ uint64_t Allocator::chunk_count(ObjType t) const {
   uint64_t total = 0;
   for (const auto& s : st.stripes) {
     common::MutexLock lk(s.mu);
-    total += s.chunks.size();
+    total += s.nchunks;
   }
   return total;
 }

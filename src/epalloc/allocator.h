@@ -8,8 +8,8 @@
 // list rooted in EPRoot, which is both the recovery index (Algorithm 7
 // walks the leaf list) and the leak-prevention device: an object's bit is
 // set only *after* the object is fully linked into the index, so a crash
-// in between leaves the slot free. The recycle and update micro-logs live
-// in EPRoot too (micrologs.h).
+// in between leaves the slot free. The recycle micro-log lives in EPRoot
+// too (micrologs.h).
 //
 // Two-phase allocation: reserve() returns a *reserved* object (volatile
 // reservation, so concurrent writers on different ARTs never collide), and
@@ -22,11 +22,18 @@
 //    (modeled per-DIMM sub-allocators) by a deterministic map,
 //    stripe(chunk) = (chunk_off / stride) mod S — no ownership table, so
 //    any thread can find a chunk's stripe lock-free. Each stripe has its
-//    own mutex, chunk map and free list, so writers on different stripes
-//    never contend.
-//  * Thread equalization. Each thread gets a round-robin home stripe and
-//    allocates there first, stealing from (home+k) mod S only when its
-//    stripe is out of space (counted in epalloc_stripe_steals_total).
+//    own mutex, dense chunk table and free list, so writers on different
+//    stripes never contend. A chunk's table slot is
+//    (chunk_off / stride) / S: no hashing on reserve, commit or free.
+//  * Stripe affinity. A thread starts each reserve at the stripe that
+//    served its last reserve of that type (first time: a round-robin home
+//    stripe), moving on to the next stripe only when that one is out of
+//    space (counted in epalloc_stripe_steals_total). A new chunk's stripe
+//    follows its offset, and the thread follows the new chunk.
+//  * O(1) recycle. Each type keeps volatile predecessor links for its
+//    chunk list, so Algorithm 6 unlinks a chunk without walking the list,
+//    and the free paths report whether a chunk became empty, so the
+//    recycle (and its locks) runs only for chunks that did.
 //  * DRAM shadow bitmaps. Every chunk's occupancy bitmap is mirrored in
 //    its ChunkState (`shadow`), kept exactly equal to the PM header word
 //    — header *stores* remain immediate 8-byte atomic stores so lock-free
@@ -38,8 +45,8 @@
 //    before the epoch stamp persists — the group-commit fence the service
 //    already pays. Freed slots stay `pending` (not reusable) until their
 //    cleared header is durable; otherwise a crash could resurrect a
-//    half-overwritten slot under a stale set bit. Chunk-list links,
-//    micro-logs and object payloads keep their eager persist schedule —
+//    half-overwritten slot under a stale set bit. Chunk-list links, the
+//    recycle log and object payloads keep their eager persist schedule —
 //    only the per-op bitmap flush is batched away.
 //
 // With stripes = 1 and eager metadata persists this is the paper's
@@ -58,7 +65,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
@@ -120,15 +126,21 @@ class Allocator {
   void release(ObjType t, uint64_t obj_off);
 
   /// Reset the object's bitmap bit (deletion / update paths). Does not
-  /// recycle; call recycle_chunk_of() afterwards (Alg. 5/6).
-  void free_object(ObjType t, uint64_t obj_off);
+  /// recycle; returns true when the chunk became empty, and only then does
+  /// the caller need recycle_chunk_of() (Alg. 5/6).
+  bool free_object(ObjType t, uint64_t obj_off);
 
+  /// Which chunks free_leaf_with_value() left empty.
+  struct Emptied {
+    bool leaf = false;
+    bool value = false;
+  };
   /// Deletion path (Alg. 5 lines 11-12 plus the p_value clear deviation,
   /// see DESIGN.md): atomically — with respect to leaf reservations —
   /// reset the leaf bit, reset the value bit, and clear the leaf's value
   /// pointer.
-  void free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
-                            uint64_t val_off);
+  Emptied free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
+                               uint64_t val_off);
 
   // ---- EBR-deferred reuse ---------------------------------------------
   // The *_retired variants reset the persistent bit but also set a volatile
@@ -142,12 +154,14 @@ class Allocator {
   void free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
                                     uint64_t val_off);
 
-  /// Grace period over: allow reuse and run the deferred EPRecycle.
-  /// Tolerates a chunk that no longer exists (freed across a recovery).
+  /// Grace period over: allow reuse, and run the deferred EPRecycle if the
+  /// chunk is now empty. Tolerates a chunk that no longer exists (freed
+  /// across a recovery).
   void release_retired(ObjType t, uint64_t obj_off);
 
   /// EPRecycle(MemChunkOf(obj)) — Algorithm 6. Unlinks and frees the chunk
-  /// if it contains no used (or reserved, retired, pending) object.
+  /// if it contains no used (or reserved, retired, pending) object. The
+  /// predecessor comes from the volatile links: O(1), no list walk.
   void recycle_chunk_of(ObjType t, uint64_t obj_off);
 
   [[nodiscard]] bool bit_is_set(ObjType t, uint64_t obj_off) const;
@@ -180,18 +194,12 @@ class Allocator {
   /// Allocator name, for hartd's startup line and perfbench's notes.
   [[nodiscard]] const char* kind_name() const { return "striped"; }
 
-  // ---- update-log slot pool (Algorithm 3 uses one slot per update) ----
-  UpdateLog* acquire_ulog();
-  /// LogReclaim: zero + persist the slot, return it to the pool. Always
-  /// eager — a deferred zero-persist could replay a stale completed log.
-  void reclaim_ulog(UpdateLog* log);
-
   // ---- recovery -------------------------------------------------------
   /// Structural recovery: finish or roll back the recycle log, rebuild the
   /// arena allocation map from the reachable chunk lists (leak freedom by
-  /// construction), and rebuild all volatile state — including the DRAM
-  /// bitmap shadows — from the PM headers. The caller then replays its
-  /// update logs and rebuilds DRAM structures (Algorithm 7).
+  /// construction), and rebuild all volatile state — the DRAM bitmap
+  /// shadows from the PM headers, the predecessor links from the lists.
+  /// The caller then rebuilds its DRAM structures (Algorithm 7).
   void recover_structure();
 
   /// Invoke `f(obj_off)` for every object whose bit is set, in list order.
@@ -209,19 +217,30 @@ class Allocator {
   }
 
  private:
+  /// Volatile state of one chunk: 40 bytes per table slot.
   struct ChunkState {
     uint64_t shadow = 0;    // DRAM mirror of the PM header's bitmap
     uint64_t reserved = 0;  // volatile reservation bitmap
     uint64_t retired = 0;   // volatile: freed, awaiting EBR grace period
     uint64_t pending = 0;   // freed, but the cleared header is not yet
                             // durable; blocks reuse until flush_metadata
+    bool live = false;      // the slot holds a linked chunk
     bool dirty = false;     // header persist deferred to flush_metadata
     bool in_avail = false;
+
+    /// Nothing used, reserved, retired or pending: recyclable.
+    [[nodiscard]] bool empty() const {
+      return (shadow | reserved | retired | pending) == 0;
+    }
   };
   struct Stripe {
     mutable common::Mutex mu;
-    std::unordered_map<uint64_t, ChunkState> chunks GUARDED_BY(mu);
-    // Chunks that may have a reservable slot.
+    // Dense chunk table, slot (chunk_off / stride) / S (table_slot()).
+    // Grows, never shrinks, up to the highest chunk offset in use.
+    std::vector<ChunkState> table GUARDED_BY(mu);
+    uint64_t nchunks GUARDED_BY(mu) = 0;  // live slots in `table`
+    // Chunks that may have a reservable slot (entries may go stale when a
+    // chunk is recycled; the live flag is authoritative).
     std::vector<uint64_t> avail GUARDED_BY(mu);
     // Chunks with a deferred header persist (entries may go stale when a
     // chunk is recycled; the dirty flag is authoritative).
@@ -230,9 +249,13 @@ class Allocator {
   struct TypeState {
     TypeGeometry geom;  // immutable after construction; not guarded
     /// Serializes chunk-list mutations (link a new chunk, unlink on
-    /// recycle) and the volatile->persistent head word. Lock order:
-    /// head_mu -> any stripe mu -> rlog_mu_.
+    /// recycle), the volatile->persistent head word and the predecessor
+    /// links. Lock order: head_mu -> any stripe mu -> rlog_mu_.
     mutable common::Mutex head_mu;
+    /// Volatile predecessor links of the persistent chunk list, indexed
+    /// by chunk_off / stride: prev[i] is the chunk whose pnext names chunk
+    /// i (0 for the head). 8 bytes per stride of arena extent.
+    std::vector<uint64_t> prev GUARDED_BY(head_mu);
     std::deque<Stripe> stripes;  // deque: Stripe is not movable
   };
 
@@ -243,10 +266,29 @@ class Allocator {
   MemChunk* chunk_ptr(uint64_t off) const {
     return arena_.ptr<MemChunk>(off);
   }
-  Stripe& stripe_for(const TypeState& st, uint64_t chunk_off) const {
-    return const_cast<TypeState&>(st)
-        .stripes[(chunk_off / st.geom.stride) % nstripes_];
+  uint32_t stripe_index(const TypeState& st, uint64_t chunk_off) const {
+    return static_cast<uint32_t>((chunk_off / st.geom.stride) % nstripes_);
   }
+  Stripe& stripe_for(const TypeState& st, uint64_t chunk_off) const {
+    return const_cast<TypeState&>(st).stripes[stripe_index(st, chunk_off)];
+  }
+  size_t table_slot(const TypeState& st, uint64_t chunk_off) const {
+    return (chunk_off / st.geom.stride) / nstripes_;
+  }
+  /// The live chunk at `chunk_off` in stripe `s`, or nullptr.
+  ChunkState* find_locked(const TypeState& st, Stripe& s,
+                          uint64_t chunk_off) const REQUIRES(s.mu) {
+    const size_t i = table_slot(st, chunk_off);
+    if (i >= s.table.size() || !s.table[i].live) return nullptr;
+    return &s.table[i];
+  }
+  /// A fresh (live, empty) table slot for a chunk just linked at
+  /// `chunk_off`, growing the table as needed.
+  ChunkState& add_chunk_locked(const TypeState& st, Stripe& s,
+                               uint64_t chunk_off) REQUIRES(s.mu);
+  /// Sets the predecessor link of the chunk at `chunk_off`.
+  void set_prev_locked(TypeState& st, uint64_t chunk_off, uint64_t prev)
+      REQUIRES(st.head_mu);
 
   /// reserve() minus the status mapping; throws std::bad_alloc on arena
   /// exhaustion.
@@ -254,7 +296,8 @@ class Allocator {
   bool try_reserve_in_stripe(TypeState& st, Stripe& s, uint64_t* obj_off);
   uint64_t new_chunk_list_locked(TypeState& st, ObjType t)
       REQUIRES(st.head_mu);
-  void free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
+  /// Returns true when the chunk became empty.
+  bool free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
                         bool retire) REQUIRES(s.mu);
   void make_available_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
       REQUIRES(s.mu);
@@ -271,11 +314,6 @@ class Allocator {
   const uint32_t nstripes_;
   const bool batched_;
   TypeState types_[kNumObjTypes];
-  // Bitmasks over kUpdateLogSlots (<= 32): the line-contained slots that
-  // may be handed out, and those in flight.
-  const uint32_t ulog_slots_;
-  common::Mutex ulog_mu_;
-  uint32_t ulog_busy_ GUARDED_BY(ulog_mu_) = 0;
   /// Serializes all use of the single shared persistent RecycleLog. A
   /// stripe mutex is not enough: chunks of *different* object types can be
   /// recycled concurrently, and without this lock both writers would

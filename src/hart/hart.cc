@@ -58,6 +58,13 @@ class ModGuard {
 
 Hart::Options Hart::resolve_options(pmem::Arena& arena, Options opts) {
   const auto* root = arena.root<HartRoot>();
+  // Refuse before anything reads the image (the allocator and recovery
+  // would misread another format's leaves and root).
+  if (root->magic == kHartMagic && root->format != kHartFormatVersion)
+    throw FormatError(common::Status::kUnsupportedFormat, root->format);
+  // Value offsets must fit the packed value word.
+  if (arena.size() > ValueRef::kOffMask)
+    throw std::invalid_argument("arena larger than 2^48 bytes");
   if (root->magic == kHartMagic) {
     // Reopening an existing HART: kh is a structural parameter recorded in
     // the root (the split of every persisted key depends on it).
@@ -86,6 +93,7 @@ Hart::Hart(pmem::Arena& arena, Options opts)
   } else {
     *root_ = HartRoot{};
     root_->hash_key_len = opts_.hash_key_len;
+    root_->format = kHartFormatVersion;
     root_->magic = kHartMagic;
     arena_.persist(root_, sizeof(HartRoot));
   }
@@ -151,22 +159,19 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   arena_.trace_store(vp, value_object_size(vcls));
   arena_.persist(vp, value_object_size(vcls));
 
-  // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, its length
-  // and the tail (p_value = &value, class tag, length, fingerprint) go into
-  // the leaf, then one persistent() covers the whole leaf. The leaf bit is
-  // still clear, so the key bytes mean nothing yet; what matters is that
-  // the tail is durable *before* the value bit — the stale-value probe and
-  // the verifier interpret p_value through val_class, so a crash after the
-  // value bit must never find a stale class next to it.
+  // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, its length,
+  // the fingerprint and the value word (p_value = &value with its length
+  // and class) go into the leaf, then one persistent() covers the whole
+  // leaf. The leaf bit is still clear, so the key bytes mean nothing yet;
+  // what matters is that the value word is durable *before* the value bit
+  // — the stale-value probe and the verifier interpret the offset through
+  // the class it carries.
   auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
   std::memcpy(leaf->key, key.data(), key.size());
   leaf->key_len = static_cast<uint8_t>(key.size());
-  leaf->val_len = static_cast<uint8_t>(value.size());
-  leaf->val_class = value_class_tag(vcls);
   // Recovery re-tags the DRAM tree from the persisted fingerprint.
   leaf->key_fp = art::key_fingerprint(akey);
-  leaf->vseq = 0;  // even: no update in flight (reused slots hold garbage)
-  leaf->p_value = val_off;
+  leaf->p_value = ValueRef::pack(val_off, value.size(), vcls);
   arena_.trace_store(leaf->key, key.size());
   arena_.trace_store(&leaf->key_len,
                      sizeof(HartLeaf) - offsetof(HartLeaf, key_len));
@@ -188,16 +193,16 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   return common::Status::kInserted;
 }
 
-// Algorithm 3: Update(K, V, L) — out-of-place with the update micro-log.
+// Algorithm 3: Update(K, V, L) — out-of-place and log-free (DESIGN.md §1).
 common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
-  const uint64_t leaf_off = arena_.off(leaf);
-  const uint64_t old_off = leaf->p_value;
-  const epalloc::ObjType old_cls = value_class_of(leaf);
+  const uint64_t old_ref = leaf->p_value;
+  const uint64_t old_off = ValueRef::off(old_ref);
+  const epalloc::ObjType old_cls = ValueRef::cls(old_ref);
   const epalloc::ObjType new_cls = value_class_for(value.size());
 
   // Lines 4-5: write the new value into freshly allocated space. On
-  // exhaustion nothing was written: the old value is untouched and no log
-  // slot is held, so returning is a clean abort.
+  // exhaustion nothing was written and the old value is untouched, so
+  // returning is a clean abort.
   uint64_t new_off = 0;
   if (auto s = ep_.reserve(new_cls, &new_off); !s.ok()) return s;
   char* vp = arena_.ptr<char>(new_off);
@@ -206,61 +211,35 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   arena_.trace_store(vp, value_object_size(new_cls));
   arena_.persist(vp, value_object_size(new_cls));
 
-  // Lines 2-3 and 6, fused (DESIGN.md §1): the whole record is written with
-  // PNewV last, then flushed once. The slot sits inside one cache line
-  // (acquire_ulog guarantees it), and stores to one line reach PM in
-  // program order, so a durable PNewV implies durable PLeaf, POldV and
-  // meta. Without PNewV recovery resets the slot — the new value's
-  // reservation is volatile — so PLeaf needs no flush of its own.
-  epalloc::UpdateLog* ulog = ep_.acquire_ulog();
-  ulog->pleaf = leaf_off;
-  ulog->poldv = old_off;
-  ulog->meta = epalloc::UpdateLog::pack_meta(
-      static_cast<uint32_t>(value.size()), old_cls, new_cls);
-  std::atomic_ref<uint64_t>(ulog->pnewv)
-      .store(new_off, std::memory_order_release);
-  arena_.trace_store(ulog, sizeof(*ulog));
-  arena_.persist(ulog, sizeof(*ulog));
-
-  // Line 7: set the bit for the new value.
+  // Line 7: set the bit for the new value. A crash from here to the swing
+  // below leaves it committed and unreferenced; recovery's orphan sweep
+  // frees it. Lines 2-3, 6 and 11 (the update log) are omitted: recovery
+  // repairs every state a crash can leave without them.
   ep_.commit(new_cls, new_off);
 
-  // Line 8: swing the value pointer and its metadata in the leaf — they
-  // are adjacent at the leaf tail, one flush covers them. The swing runs
-  // under the leaf's vseq seqlock so a lock-free reader can never pair the
-  // new pointer with the old length/class (or vice versa); p_value itself
-  // is a release store pairing with the reader's acquire, which publishes
-  // the new value's bytes. vseq is runtime-only: recovery replay rederives
-  // the tail from the log and rezeroes it.
-  const std::atomic_ref<uint32_t> vseq(leaf->vseq);
-  const uint32_t vs = vseq.load(std::memory_order_relaxed);
-  vseq.store(vs + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  std::atomic_ref<uint8_t>(leaf->val_len)
-      .store(static_cast<uint8_t>(value.size()), std::memory_order_relaxed);
-  std::atomic_ref<uint8_t>(leaf->val_class)
-      .store(value_class_tag(new_cls), std::memory_order_relaxed);
+  // Line 8, the commit point: one release store swings the value word
+  // (offset, length and class together), and one 8-byte persist makes it
+  // durable. The release pairs with lock-free readers' acquire load and
+  // publishes the new value's bytes. With batched metadata the new value's
+  // bit may still be volatile here; recovery re-commits a referenced value
+  // whose bit it finds clear.
   std::atomic_ref<uint64_t>(leaf->p_value)
-      .store(new_off, std::memory_order_release);
-  vseq.store(vs + 2, std::memory_order_release);
-  arena_.trace_store(&leaf->val_len,
-                     sizeof(HartLeaf) - offsetof(HartLeaf, val_len));
-  arena_.persist(&leaf->val_len,
-                 sizeof(HartLeaf) - offsetof(HartLeaf, val_len));
+      .store(ValueRef::pack(new_off, value.size(), new_cls),
+             std::memory_order_release);
+  arena_.trace_store(&leaf->p_value, sizeof(leaf->p_value));
+  arena_.persist(&leaf->p_value, sizeof(leaf->p_value));
 
-  // Lines 9-10: release the old value, recycle its chunk if empty. With
-  // lock-free readers the slot's *reuse* (and the chunk recycle) waits out
-  // the grace period; durability is identical — the bit reset persists now.
+  // Lines 9-10: release the old value, recycle its chunk if empty. A crash
+  // before the bit reset leaves the old value committed and unreferenced,
+  // which the orphan sweep frees. With lock-free readers the slot's
+  // *reuse* (and the chunk recycle) waits out the grace period; durability
+  // is identical — the bit reset persists now.
   if (optimistic()) {
     ep_.free_object_retired(old_cls, old_off);
     retire_slot(old_cls, old_off);
-  } else {
-    ep_.free_object(old_cls, old_off);
+  } else if (ep_.free_object(old_cls, old_off)) {
     ep_.recycle_chunk_of(old_cls, old_off);
   }
-
-  // Line 11: LogReclaim.
-  ep_.reclaim_ulog(ulog);
   return common::Status::kOk;
 }
 
@@ -279,39 +258,28 @@ common::Status Hart::update(std::string_view key, std::string_view value) {
   return common::Status::kOk;
 }
 
-int Hart::read_leaf_value_optimistic(const HartLeaf* leaf,
-                                     std::string* out) const {
-  auto* m = const_cast<HartLeaf*>(leaf);
-  const std::atomic_ref<uint32_t> vseq(m->vseq);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const uint32_t v0 = vseq.load(std::memory_order_acquire);
-    if ((v0 & 1) != 0) continue;  // update mid-swing
-    // Acquire on p_value pairs with the updater's release store: the new
-    // value object's bytes become visible before its pointer does.
-    const uint64_t pv = std::atomic_ref<uint64_t>(m->p_value)
-                            .load(std::memory_order_acquire);
-    const uint8_t len = std::atomic_ref<uint8_t>(m->val_len)
-                            .load(std::memory_order_relaxed);
-    const uint8_t cls = std::atomic_ref<uint8_t>(m->val_class)
-                            .load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (vseq.load(std::memory_order_relaxed) != v0) continue;
-    // (pv, len, cls) is a consistent tail snapshot. The slot behind pv
-    // cannot be reused before our epoch pin is released (EBR), and value
-    // objects are never mutated in place, so the copy below is race-free.
-    if (pv == 0) return 0;  // deleted under us (Alg. 5's p_value clear)
-    const char* vp = arena_.ptr<char>(pv);
-    arena_.pm_read(vp, value_object_size(static_cast<epalloc::ObjType>(
-                           static_cast<uint8_t>(cls + 1))));
-    if (out != nullptr) out->assign(vp, len);
-    return 1;
-  }
-  return -1;
+bool Hart::read_leaf_value_optimistic(const HartLeaf* leaf,
+                                      std::string* out) const {
+  // One acquire load yields a consistent (offset, length, class) triple
+  // and makes the value object's bytes visible. The slot cannot be reused
+  // before our epoch pin is released (EBR), and value objects are never
+  // mutated in place, so the copy below is race-free.
+  const uint64_t w = load_value_ref(leaf);
+  if (w == 0) return false;  // deleted under us (Alg. 5's p_value clear)
+  copy_value(w, out);
+  return true;
+}
+
+void Hart::copy_value(uint64_t w, std::string* out) const {
+  const char* vp = arena_.ptr<char>(ValueRef::off(w));
+  arena_.pm_read(vp, value_object_size(ValueRef::cls(w)));
+  if (out != nullptr) out->assign(vp, ValueRef::len(w));
 }
 
 // Algorithm 4: Search(K, HT) — lock-free by default: OLC descent through
-// the DRAM nodes, then a vseq-validated value read from PM. Persistent
-// churn (retries exhausted) falls back to the paper's shared-lock read.
+// the DRAM nodes, then one acquire load of the leaf's value word and a
+// value read from PM. Persistent churn (descent retries exhausted) falls
+// back to the paper's shared-lock read.
 common::Status Hart::search(std::string_view key, std::string* out) const {
   if (auto s = common::validate_key(key); !s.ok()) return s;
   HashDir::Partition* part =
@@ -326,9 +294,9 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
       // Line 9: validate the leaf bit in the chunk bitmap (lock-free).
       if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
         return common::Status::kNotFound;
-      const int vr = read_leaf_value_optimistic(r.leaf, out);
-      if (vr > 0) return common::Status::kOk;
-      if (vr == 0) return common::Status::kNotFound;
+      return read_leaf_value_optimistic(r.leaf, out)
+                 ? common::Status::kOk
+                 : common::Status::kNotFound;
     }
     read_fallback_counter().inc();
   }
@@ -338,9 +306,7 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
   // Line 9: validate the leaf bit in the chunk bitmap.
   if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
     return common::Status::kNotFound;
-  const char* vp = arena_.ptr<char>(leaf->p_value);
-  arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
-  if (out != nullptr) out->assign(vp, leaf->val_len);
+  copy_value(load_value_ref(leaf), out);
   return common::Status::kOk;
 }
 
@@ -357,8 +323,8 @@ common::Status Hart::remove(std::string_view key) {
   HartLeaf* leaf = part->tree.remove(art_key(key));
   if (leaf == nullptr) return common::Status::kNotFound;
   const uint64_t leaf_off = arena_.off(leaf);
-  const uint64_t val_off = leaf->p_value;
-  const epalloc::ObjType vcls = value_class_of(leaf);
+  const uint64_t val_off = ValueRef::off(leaf->p_value);
+  const epalloc::ObjType vcls = ValueRef::cls(leaf->p_value);
 
   // Lines 11-12: reset the leaf bit, then the value bit. A crash in
   // between leaves a dangling committed value that EPMalloc's stale-value
@@ -380,10 +346,11 @@ common::Status Hart::remove(std::string_view key) {
     retire_slot(vcls, val_off);
     retire_slot(epalloc::ObjType::kLeaf, leaf_off);
   } else {
-    ep_.free_leaf_with_value(leaf_off, vcls, val_off);
-    // Lines 13-14: recycle now-empty chunks.
-    ep_.recycle_chunk_of(vcls, val_off);
-    ep_.recycle_chunk_of(epalloc::ObjType::kLeaf, leaf_off);
+    // Lines 13-14: recycle the chunks that became empty.
+    const auto emptied = ep_.free_leaf_with_value(leaf_off, vcls, val_off);
+    if (emptied.value) ep_.recycle_chunk_of(vcls, val_off);
+    if (emptied.leaf)
+      ep_.recycle_chunk_of(epalloc::ObjType::kLeaf, leaf_off);
   }
 
   // Lines 15-16: free the ART if it became empty (internal nodes were
@@ -402,10 +369,9 @@ size_t Hart::range(
   auto emit_locked = [&](HartLeaf* leaf) {
     if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
       return true;
-    const char* vp = arena_.ptr<char>(leaf->p_value);
-    arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
-    out->emplace_back(std::string(leaf->key, leaf->key_len),
-                      std::string(vp, leaf->val_len));
+    std::string val;
+    copy_value(load_value_ref(leaf), &val);
+    out->emplace_back(std::string(leaf->key, leaf->key_len), std::move(val));
     return out->size() < limit;
   };
 
@@ -433,17 +399,12 @@ size_t Hart::range(
       const uint64_t v0 = part->mod_version.load(std::memory_order_acquire);
       if ((v0 & 1) != 0) continue;  // mutator mid-section; try again
       staging.clear();
-      bool torn = false;
       auto emit = [&](HartLeaf* leaf) {
         if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
           return true;
         std::string val;
-        const int vr = read_leaf_value_optimistic(leaf, &val);
-        if (vr < 0) {
-          torn = true;
-          return false;
-        }
-        if (vr == 0) return true;  // deleted under us
+        if (!read_leaf_value_optimistic(leaf, &val))
+          return true;  // deleted under us
         staging.emplace_back(std::string(leaf->key, leaf->key_len),
                              std::move(val));
         return out->size() + staging.size() < limit;
@@ -451,8 +412,7 @@ size_t Hart::range(
       part->hkey == hlo ? part->tree.for_each_from(art_key(lo), emit)
                         : part->tree.for_each(emit);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (torn || part->mod_version.load(std::memory_order_relaxed) != v0)
-        continue;
+      if (part->mod_version.load(std::memory_order_relaxed) != v0) continue;
       for (auto& kv : staging) out->push_back(std::move(kv));
       done = true;
     }
@@ -488,15 +448,12 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       const auto r = part->tree.search_optimistic(akey);
       if (r.ok) {
         if (r.leaf == nullptr ||
-            !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
+            !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)) ||
+            !read_leaf_value_optimistic(r.leaf, &(*out)[i]))
           continue;
-        const int vr = read_leaf_value_optimistic(r.leaf, &(*out)[i]);
-        if (vr == 0) continue;
-        if (vr > 0) {
-          (*found)[i] = true;
-          ++hits;
-          continue;
-        }
+        (*found)[i] = true;
+        ++hits;
+        continue;
       }
       read_fallback_counter().inc();
       common::ReaderLock lk(part->mu);
@@ -504,9 +461,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       if (leaf == nullptr ||
           !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
-      const char* vp = arena_.ptr<char>(leaf->p_value);
-      arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
-      (*out)[i].assign(vp, leaf->val_len);
+      copy_value(load_value_ref(leaf), &(*out)[i]);
       (*found)[i] = true;
       ++hits;
     }
@@ -529,9 +484,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       if (leaf == nullptr ||
           !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
-      const char* vp = arena_.ptr<char>(leaf->p_value);
-      arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
-      (*out)[i].assign(vp, leaf->val_len);
+      copy_value(load_value_ref(leaf), &(*out)[i]);
       (*found)[i] = true;
       ++hits;
     }
@@ -605,46 +558,6 @@ void HartCursor::next() {
   refill(last, /*skip_equal=*/true);
 }
 
-// Algorithm 3's recovery case analysis, applied to every log slot.
-void Hart::replay_update_logs() {
-  for (auto& ulog : root_->ep.ulogs) {
-    if (ulog.pleaf == 0 || ulog.pnewv == 0) {
-      // Not a complete record: a crash before the record's flush (the old
-      // value is intact; the new one's reservation evaporated), or a torn
-      // LogReclaim. Either way the slot must come back fully zeroed — a
-      // stale PNewV left behind would otherwise complete the record the
-      // next update writes into this slot before that update's flush.
-      if (ulog.pleaf != 0 || ulog.poldv != 0 || ulog.pnewv != 0 ||
-          ulog.meta != 0) {
-        ulog = epalloc::UpdateLog{};
-        arena_.trace_store(&ulog, sizeof(ulog));
-        arena_.persist(&ulog, sizeof(ulog));
-      }
-      continue;
-    }
-    // All three pointers valid: resume from line 7 (idempotent redo).
-    auto* leaf = arena_.ptr<HartLeaf>(ulog.pleaf);
-    const epalloc::ObjType new_cls = ulog.new_class();
-    const epalloc::ObjType old_cls = ulog.old_class();
-    ep_.commit(new_cls, ulog.pnewv);
-    leaf->p_value = ulog.pnewv;
-    leaf->val_len = static_cast<uint8_t>(ulog.new_len());
-    leaf->val_class = value_class_tag(new_cls);
-    leaf->vseq = 0;  // a crash mid-swing may have left it odd
-    arena_.trace_store(leaf, sizeof(HartLeaf));
-    arena_.persist(leaf, sizeof(HartLeaf));
-    // Line 9 only. Line 10's chunk recycle must not run here: with batched
-    // metadata, a live leaf's value in the same chunk may still lack its
-    // durable bit until the leaf walk re-commits it, so the chunk can look
-    // empty now. An empty chunk left linked is reused, not leaked.
-    if (ep_.bit_is_set(old_cls, ulog.poldv))
-      ep_.free_object(old_cls, ulog.poldv);
-    ulog = epalloc::UpdateLog{};
-    arena_.trace_store(&ulog, sizeof(ulog));
-    arena_.persist(&ulog, sizeof(ulog));
-  }
-}
-
 // Algorithm 7: Recovery(HT) — rebuild the hash table and all internal
 // nodes from the persistent leaf list.
 void Hart::recover(unsigned threads) {
@@ -659,7 +572,6 @@ void Hart::recover(unsigned threads) {
   count_.store(0, std::memory_order_relaxed);
   epoch_.store(root_->epoch, std::memory_order_relaxed);
   ep_.recover_structure();
-  replay_update_logs();
 
   static obs::Counter& completed_deletes = obs::Registry::instance().counter(
       "hart_recover_completed_deletes_total");
@@ -672,12 +584,12 @@ void Hart::recover(unsigned threads) {
     // optimistic mode, so each recovery worker pins like any other writer.
     common::ebr::Guard ebr_pin(common::ebr::Domain::instance());
     auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
-    // Batched-metadata crash repairs. With eager header persists,
-    // neither state can arise — the old recovery asserted as much — but
-    // when header persists batch onto the epoch fence, a crash between a
-    // durable step and its deferred header flush leaves exactly these two
-    // torn shapes:
-    if (leaf->p_value == 0) {
+    // Batched-metadata crash repairs. With eager header persists neither
+    // state can arise, but when header persists batch onto the epoch
+    // fence, a crash between a durable step and its deferred header flush
+    // leaves exactly these two torn shapes:
+    const uint64_t w = leaf->p_value;
+    if (w == 0) {
       // An in-flight delete: the leaf's p_value clear persisted (it is
       // eager) but the header bit clears were still deferred. Complete the
       // delete — the slot is free, nothing references the value (the value
@@ -686,13 +598,13 @@ void Hart::recover(unsigned threads) {
       ep_.free_object(epalloc::ObjType::kLeaf, leaf_off);
       return;
     }
-    if (!ep_.bit_is_set(value_class_of(leaf), leaf->p_value)) {
+    if (!ep_.bit_is_set(ValueRef::cls(w), ValueRef::off(w))) {
       // An in-flight insert/update that reached its leaf-side commit point
       // but whose value-bit persist was still deferred: the value bytes
       // are durable (they persist eagerly, before the leaf commit), so
       // re-committing the bit finishes the operation.
       recommitted_values.inc();
-      ep_.commit(value_class_of(leaf), leaf->p_value);
+      ep_.commit(ValueRef::cls(w), ValueRef::off(w));
     }
     // Fingerprint fix-up: the DRAM-side tag is re-derived from the key
     // bytes by tree.insert below; the persisted copy is repaired here when
@@ -765,11 +677,12 @@ void Hart::recover(unsigned threads) {
 // to another key, reusing the leaf slot would make the probe reclaim the
 // other key's live value.
 //
-// Then the values (batched-metadata crash repair): a crash can leave a
-// committed value referenced by no leaf slot at all, e.g. a delete whose
-// value-bit clear was deferred while the (eager) p_value clear persisted.
-// Free those. On an eager-metadata image every committed value is
-// referenced somewhere, so that part is a no-op.
+// Then the values: a crash can leave a committed value referenced by no
+// leaf slot at all. A log-free update leaves one in either schedule — the
+// new value between its bit and the value-word swing, or the old value
+// between the swing and its bit reset — and with batched metadata a delete
+// whose value-bit clear was deferred while the (eager) p_value clear
+// persisted leaves one too. Free those.
 void Hart::sweep_orphaned_values() {
   static obs::Counter& orphans_freed = obs::Registry::instance().counter(
       "hart_recover_orphan_values_total");
@@ -784,25 +697,25 @@ void Hart::sweep_orphaned_values() {
         arena_.ptr<epalloc::MemChunk>(c_off)->header);
     for (uint32_t i = 0; i < epalloc::kObjectsPerChunk; ++i) {
       const uint64_t off = lg.object_off(c_off, i);
-      const auto* leaf = arena_.ptr<HartLeaf>(off);
-      if (leaf->p_value == 0) continue;
+      const uint64_t w = arena_.ptr<HartLeaf>(off)->p_value;
+      if (w == 0) continue;
       if (((live >> i) & 1) != 0) {
-        referenced.insert(leaf->p_value);
+        referenced.insert(ValueRef::off(w));
       } else {
         free_refs.push_back(off);
       }
     }
   }
   for (const uint64_t off : free_refs) {
-    const auto* leaf = arena_.ptr<HartLeaf>(off);
-    // The tail of a slot that never completed an insert may be torn, so
-    // the class tag is range-checked before it is used.
+    const uint64_t w = arena_.ptr<HartLeaf>(off)->p_value;
+    // The value word of a slot that never completed an insert may be
+    // garbage, so the class tag is range-checked before it is used.
     const bool pending =
-        leaf->val_class + 1 < epalloc::kNumObjTypes &&
-        !referenced.contains(leaf->p_value) &&
-        ep_.bit_is_set(value_class_of(leaf), leaf->p_value);
+        ValueRef::class_tag(w) + 1 < epalloc::kNumObjTypes &&
+        !referenced.contains(ValueRef::off(w)) &&
+        ep_.bit_is_set(ValueRef::cls(w), ValueRef::off(w));
     if (pending) {
-      referenced.insert(leaf->p_value);
+      referenced.insert(ValueRef::off(w));
       continue;
     }
     stale_refs_cleared.inc();

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "common/ebr.h"
@@ -26,18 +28,45 @@ namespace hart::core {
 /// Signature of a HART root in an arena ("HARTROOT").
 inline constexpr uint64_t kHartRootMagic = 0x48415254'524f4f54ULL;
 
+/// On-media format of a HART image, stamped in HartRoot::format. 0 is the
+/// update-log layout (three value fields in the leaf plus Algorithm 3's
+/// log slots in the root), written before the field existed; 1 is the
+/// log-free layout with the packed value word (ValueRef). An image of any
+/// other format is refused, not upgraded.
+inline constexpr uint32_t kHartFormatVersion = 1;
+
 /// Persistent root of a HART instance, stored in the arena header. Contains
 /// everything needed to recover: the EPallocator chunk lists (the leaf list
-/// is the recovery index) and the micro-logs.
+/// is the recovery index) and the recycle log.
 struct HartRoot {
   uint64_t magic;
   uint32_t hash_key_len;
-  uint32_t reserved;
+  uint32_t format;  // kHartFormatVersion
   /// Group-commit epoch stamp (see flush_epoch()). Monotone; persisted by
   /// the epoch fence, so after recovery it lower-bounds the number of
   /// completed commit epochs.
   uint64_t epoch;
   epalloc::EPRoot ep;
+};
+
+/// Thrown by the Hart constructor when the arena holds a HART image of
+/// another on-media format (status() is kUnsupportedFormat). Nothing was
+/// read past the root and nothing was written.
+class FormatError : public std::runtime_error {
+ public:
+  FormatError(common::Status status, uint32_t found)
+      : std::runtime_error("HART image format " + std::to_string(found) +
+                           ", this build reads format " +
+                           std::to_string(kHartFormatVersion) + " (" +
+                           status.name() + ")"),
+        status_(status),
+        found_(found) {}
+  [[nodiscard]] common::Status status() const { return status_; }
+  [[nodiscard]] uint32_t found_format() const { return found_; }
+
+ private:
+  common::Status status_;
+  uint32_t found_;
 };
 
 class Hart final : public common::Index {
@@ -69,7 +98,8 @@ class Hart final : public common::Index {
   };
 
   /// Opens a HART on `arena`. A fresh arena is initialized; an arena whose
-  /// root carries a valid HART signature is recovered (Algorithm 7).
+  /// root carries a valid HART signature is recovered (Algorithm 7). An
+  /// image of another format throws FormatError.
   explicit Hart(pmem::Arena& arena) : Hart(arena, Options{}) {}
   Hart(pmem::Arena& arena, Options opts);
   /// Drains the EBR domain: every node/slot this Hart retired is freed
@@ -159,16 +189,13 @@ class Hart final : public common::Index {
     return {reinterpret_cast<const uint8_t*>(key.data()) + h,
             key.size() - h};
   }
-  /// Algorithm 3 (out-of-place update with the update micro-log). The
-  /// partition's write lock must be held, and in optimistic mode the caller
-  /// must be pinned (the superseded value slot is retired through EBR).
-  /// kOk on success; kOutOfMemory when the new value cannot be allocated
-  /// (the old value is untouched and the log is reclaimed).
+  /// Algorithm 3, log-free: the value word's single store is the commit
+  /// point (DESIGN.md §1). The partition's write lock must be held, and in
+  /// optimistic mode the caller must be pinned (the superseded value slot
+  /// is retired through EBR). kOk on success; kOutOfMemory when the new
+  /// value cannot be allocated (the old value is untouched).
   common::Status update_locked(HartLeaf* leaf, std::string_view value)
       REQUIRES_EBR_PIN;
-  /// Redo/abort in-flight updates after a crash (Algorithm 3's recovery
-  /// case analysis).
-  void replay_update_logs();
   /// Clear stale value references left in free leaf slots, then free
   /// committed values no leaf slot references (batched-metadata crash
   /// repair). Runs after the leaf walk.
@@ -177,11 +204,14 @@ class Hart final : public common::Index {
   // ---- optimistic read path (ISSUE 5 tentpole) --------------------------
   /// True when the lock-free read path (and hence EBR deferral) is active.
   [[nodiscard]] bool optimistic() const { return !opts_.rwlock_reads; }
-  /// Reads the leaf's value under its vseq seqlock. Returns 1 on success
-  /// (out filled), 0 when the leaf is deleted (p_value == 0), -1 when the
-  /// read raced an update and the caller should retry or fall back.
-  int read_leaf_value_optimistic(const HartLeaf* leaf,
-                                 std::string* out) const;
+  /// Reads the leaf's value from one acquire load of its value word.
+  /// Returns true (out filled), or false when the leaf is deleted
+  /// (p_value == 0).
+  bool read_leaf_value_optimistic(const HartLeaf* leaf,
+                                  std::string* out) const;
+  /// Copies the value named by value word `w` into *out (when non-null),
+  /// charging the PM read.
+  void copy_value(uint64_t w, std::string* out) const;
   /// Defer reuse of a freed PM slot until the reader grace period elapses.
   void retire_slot(epalloc::ObjType cls, uint64_t off) REQUIRES_EBR_PIN;
   static void retire_slot_cb(void* packed, void* self);

@@ -3,13 +3,14 @@
 // Only leaf nodes (and value objects) live in PM; the complete key is stored
 // in the leaf "for the purpose of failure recovery" (Section III.A.1) even
 // though the ART path already encodes it. The value is out-of-leaf: the
-// leaf holds an 8-byte pointer (arena offset) to a value object in one of
-// the two EPallocator value size classes, which is what enables
-// variable-size values (Section III.A.5).
+// leaf holds one 8-byte word naming a value object in one of the
+// EPallocator value size classes, which is what enables variable-size
+// values (Section III.A.5).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -19,37 +20,65 @@
 
 namespace hart::core {
 
+/// The leaf's value word (`HartLeaf::p_value`). The value object's arena
+/// offset, its length and its size class share one 8-byte word, so a
+/// single release store publishes all three to lock-free readers and a
+/// single 8-byte persist makes them durable together. That one store is
+/// the commit point of an update (DESIGN.md §1, correction 3). Layout:
+///   bits  0..47  arena offset of the value object (0 = no value)
+///   bits 48..55  value length, 1..64
+///   bits 56..63  value class tag, 0..3 = 8/16/32/64 B
+/// The word is 8-byte aligned in every leaf slot, so it never straddles a
+/// cache line.
+struct ValueRef {
+  static constexpr int kLenShift = 48;
+  static constexpr int kClassShift = 56;
+  static constexpr uint64_t kOffMask = (uint64_t{1} << kLenShift) - 1;
+
+  static uint64_t pack(uint64_t off, size_t len, epalloc::ObjType cls) {
+    assert(off <= kOffMask && len <= 0xff);
+    const uint64_t tag = uint64_t{static_cast<uint8_t>(cls)} - 1;
+    return off | (uint64_t{len} << kLenShift) | (tag << kClassShift);
+  }
+  static uint64_t off(uint64_t w) { return w & kOffMask; }
+  static uint32_t len(uint64_t w) {
+    return static_cast<uint32_t>((w >> kLenShift) & 0xff);
+  }
+  /// Raw class tag; only 0..3 are valid (a torn slot may hold anything).
+  static uint32_t class_tag(uint64_t w) {
+    return static_cast<uint32_t>(w >> kClassShift);
+  }
+  static epalloc::ObjType cls(uint64_t w) {
+    return static_cast<epalloc::ObjType>(class_tag(w) + 1);
+  }
+};
+
 struct HartLeaf {
   char key[common::kMaxKeyLen];       // complete key (hash prefix + ART key)
   uint8_t key_len;                    // 1..24
-  uint8_t val_len;                    // 1..64
-  uint8_t val_class;                  // value class tag: 0/1/2/3 = 8/16/32/64 B
   // One-byte fingerprint of the leaf's ART key (FPTree-style; never 0 when
-  // set, 0 = unset/legacy image). Written with the rest of the tail before
-  // the insert's leaf persist, so it needs no extra flush; recovery
-  // re-derives the DRAM-side fingerprint tags from it (or from the key
-  // bytes, fixing the persisted copy lazily if a legacy image has 0 here).
+  // set, 0 = unset). Written with the rest of the leaf before the insert's
+  // leaf persist, so it needs no extra flush; recovery re-derives the
+  // DRAM-side fingerprint tags from it (or from the key bytes, fixing the
+  // persisted copy if it disagrees).
   uint8_t key_fp;
-  // Value seqlock for lock-free readers: odd while an in-place update swings
-  // the tail (val_len/val_class/p_value), even when stable. Purely a runtime
-  // protocol — recovery ignores it (replay re-derives the tail from logs).
-  uint32_t vseq;
-  // The value pointer and its metadata sit together at the leaf's tail so
-  // an update can refresh all of them with a single flush (Alg. 3 line 8).
-  uint64_t p_value;                   // arena offset of the value object
+  uint8_t reserved[6];
+  // The packed value word (ValueRef). Written with one atomic store.
+  uint64_t p_value;
 };
 static_assert(sizeof(HartLeaf) == 40);
-static_assert(offsetof(HartLeaf, vseq) % alignof(uint32_t) == 0);
+static_assert(offsetof(HartLeaf, p_value) % alignof(uint64_t) == 0);
 static_assert(std::is_trivially_copyable_v<HartLeaf>);
 
 inline epalloc::ObjType value_class_for(size_t len) {
   return epalloc::value_class_for_len(len);
 }
-inline uint8_t value_class_tag(epalloc::ObjType t) {
-  return static_cast<uint8_t>(t) - 1;  // 0..3 for the four value classes
-}
-inline epalloc::ObjType value_class_of(const HartLeaf* l) {
-  return static_cast<epalloc::ObjType>(l->val_class + 1);
+
+/// The leaf's value word, read with one acquire load: the value object's
+/// bytes are visible once its word is (writers publish with release).
+inline uint64_t load_value_ref(const HartLeaf* l) {
+  return std::atomic_ref<uint64_t>(const_cast<HartLeaf*>(l)->p_value)
+      .load(std::memory_order_acquire);
 }
 
 /// EPallocator stale-value probe (Algorithm 2, lines 12-16): a free leaf
@@ -57,10 +86,12 @@ inline epalloc::ObjType value_class_of(const HartLeaf* l) {
 /// prior incomplete insertion or deletion.
 inline epalloc::LeafValueRef hart_leaf_probe(
     const pmem::Arena& arena, uint64_t leaf_off) {
-  const auto* l = arena.ptr<HartLeaf>(leaf_off);
+  const uint64_t w = arena.ptr<HartLeaf>(leaf_off)->p_value;
   epalloc::LeafValueRef ref;
-  ref.value_off = l->p_value;
-  ref.cls = value_class_of(l);
+  // A torn class tag cannot name a value (recovery clears such words).
+  if (ValueRef::class_tag(w) + 1 >= epalloc::kNumObjTypes) return ref;
+  ref.value_off = ValueRef::off(w);
+  ref.cls = ValueRef::cls(w);
   return ref;
 }
 

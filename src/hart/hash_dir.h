@@ -39,10 +39,10 @@ struct HartLeafTraits {
 
   art::Key key(const Leaf* l) const {
     // Charge only the immutable key region (key bytes + key_len). The
-    // mutable tail (vseq / val meta / p_value) is concurrently stored by
-    // in-place updates and is read separately under the vseq seqlock;
-    // including it here would race PmCheck's plain-byte shadow compare.
-    if (arena != nullptr) arena->pm_read(l, offsetof(HartLeaf, val_len));
+    // value word is concurrently stored by in-place updates and is read
+    // separately with one acquire load; including it here would race
+    // PmCheck's plain-byte shadow compare.
+    if (arena != nullptr) arena->pm_read(l, offsetof(HartLeaf, key_fp));
     const uint32_t h = kh < l->key_len ? kh : l->key_len;
     return {reinterpret_cast<const uint8_t*>(l->key) + h,
             static_cast<size_t>(l->key_len - h)};

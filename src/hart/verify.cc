@@ -97,7 +97,7 @@ std::string VerifyReport::summary() const {
   return os.str();
 }
 
-VerifyReport verify_hart_image(const pmem::Arena& arena) {
+VerifyReport verify_hart_image(const pmem::Arena& arena, ImageState state) {
   VerifyReport report;
   Ctx ctx{arena, &report};
 
@@ -105,6 +105,13 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
   // V1: root sanity.
   if (root->magic != kHartRootMagic) {
     ctx.error("root magic mismatch: " + hex(root->magic));
+    return report;
+  }
+  if (root->format != kHartFormatVersion) {
+    // Another on-media layout: its leaves cannot be interpreted here.
+    ctx.error("unsupported image format " + std::to_string(root->format) +
+              " (this build reads " + std::to_string(kHartFormatVersion) +
+              ")");
     return report;
   }
   if (root->hash_key_len > 8)
@@ -172,28 +179,29 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
                       std::to_string(leaf->key_fp) + ", derived " +
                       std::to_string(art::key_fingerprint(ak)) + ")");
         }
-        if (leaf->val_class > 3) {
+        const uint64_t w = leaf->p_value;
+        if (ValueRef::class_tag(w) > 3) {
           ctx.error("leaf " + hex(leaf_off) + ": bad value class " +
-                    std::to_string(leaf->val_class));
+                    std::to_string(ValueRef::class_tag(w)));
           continue;
         }
-        const int cls = leaf->val_class + 1;
-        if (leaf->val_len == 0 ||
-            leaf->val_len > epalloc::value_class_size(
-                                static_cast<epalloc::ObjType>(cls)))
+        const int cls = static_cast<int>(ValueRef::class_tag(w)) + 1;
+        if (ValueRef::len(w) == 0 ||
+            ValueRef::len(w) > epalloc::value_class_size(
+                                   static_cast<epalloc::ObjType>(cls)))
           ctx.error("leaf " + hex(leaf_off) + ": value length " +
-                    std::to_string(leaf->val_len) +
-                    " exceeds its class");
-        const int bit = value_bit(cls, leaf->p_value);
+                    std::to_string(ValueRef::len(w)) + " exceeds its class");
+        const uint64_t voff = ValueRef::off(w);
+        const int bit = value_bit(cls, voff);
         if (bit != 1) {
           ctx.error("leaf " + hex(leaf_off) +
-                    ": value reference invalid or bit clear (" +
-                    hex(leaf->p_value) + ")");
+                    ": value reference invalid or bit clear (" + hex(w) +
+                    ")");
         } else {
           ++referenced_values;
-          auto [it, fresh] = value_owner.emplace(leaf->p_value, leaf_off);
+          auto [it, fresh] = value_owner.emplace(voff, leaf_off);
           if (!fresh)
-            ctx.error("value " + hex(leaf->p_value) +
+            ctx.error("value " + hex(voff) +
                       " referenced by two live leaves " + hex(it->second) +
                       " and " + hex(leaf_off));
         }
@@ -201,21 +209,21 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
         // V5: a free slot with a dangling reference — benign iff the value
         // bit is set (pending lazy reclamation per Alg. 2) or clear (the
         // p_value clear had not persisted; the probe will ignore it).
-        const int cls = leaf->val_class <= 3 ? leaf->val_class + 1 : -1;
-        if (cls > 0 && value_bit(cls, leaf->p_value) == 1)
+        const uint64_t w = leaf->p_value;
+        if (ValueRef::class_tag(w) <= 3 &&
+            value_bit(static_cast<int>(ValueRef::class_tag(w)) + 1,
+                      ValueRef::off(w)) == 1)
           ++report.pending_reclamations;
       }
     }
   }
 
-  // Count in-flight update logs first: each may hold one extra committed
-  // value (the new value committed before the leaf pointer swings).
-  uint64_t inflight_ulogs = 0;
-  for (const auto& ulog : root->ep.ulogs)
-    if (ulog.pleaf != 0) ++inflight_ulogs;
-
   // V4 (leak side): every committed value must be referenced by exactly one
-  // live leaf or be a pending reclamation — modulo in-flight updates.
+  // live leaf or be a pending reclamation. A crashed image may hold more:
+  // an update leaves its new value committed before the value-word swing
+  // and its old value committed after it, and a batched-metadata delete
+  // can leave its value bit set. Recovery's orphan sweep frees those, so
+  // they are a warning only in an image verified as crashed.
   uint64_t committed_values = 0;
   for (int cls = 1; cls < epalloc::kNumObjTypes; ++cls)
     for (const uint64_t c_off : chunks_of[cls]) {
@@ -226,20 +234,22 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
   report.live_values = committed_values;
   const uint64_t accounted =
       referenced_values + report.pending_reclamations;
-  if (committed_values < accounted ||
-      committed_values > accounted + 2 * inflight_ulogs) {
-    const std::string what =
-        "value accounting mismatch: " + std::to_string(committed_values) +
-        " committed vs " + std::to_string(referenced_values) +
-        " referenced + " + std::to_string(report.pending_reclamations) +
-        " pending";
-    if (inflight_ulogs > 0)
-      ctx.warn(what + " (update logs in flight)");
+  if (committed_values < accounted) {
+    ctx.error("value accounting mismatch: " +
+              std::to_string(committed_values) + " committed vs " +
+              std::to_string(referenced_values) + " referenced + " +
+              std::to_string(report.pending_reclamations) + " pending");
+  } else if (committed_values > accounted) {
+    report.orphaned_values = committed_values - accounted;
+    const std::string what = std::to_string(report.orphaned_values) +
+                             " committed values referenced by no leaf";
+    if (state == ImageState::kCrashed)
+      ctx.warn(what + " (recovery frees them)");
     else
       ctx.error(what);
   }
 
-  // V6: micro-logs.
+  // V6: the recycle log.
   const auto& rlog = root->ep.rlog;
   if (rlog.pcurrent != 0) {
     if (rlog.type_plus1 == 0 ||
@@ -251,19 +261,6 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
       ctx.warn("recycle log in flight (recovery will finish it)");
   } else if (rlog.pprev != 0 || rlog.type_plus1 != 0) {
     ctx.error("recycle log partially cleared");
-  }
-  for (const auto& ulog : root->ep.ulogs) {
-    if (ulog.pleaf == 0) {
-      if (ulog.poldv != 0 || ulog.pnewv != 0)
-        ctx.error("update log slot partially cleared");
-      continue;
-    }
-    if (!in_bounds(arena, ulog.pleaf, sizeof(HartLeaf)))
-      ctx.error("update log PLeaf out of bounds");
-    if (ulog.pnewv != 0 &&
-        static_cast<uint8_t>(ulog.new_class()) >= epalloc::kNumObjTypes)
-      ctx.error("update log has invalid new-value class");
-    ctx.warn("update log slot in flight (recovery will replay it)");
   }
 
   return report;

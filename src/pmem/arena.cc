@@ -271,4 +271,23 @@ void Arena::crash() {
   if (check_) check_->on_crash();
 }
 
+std::vector<uint64_t> Arena::unflushed_lines() const {
+  if (!shadow_) throw std::logic_error("unflushed_lines() requires shadow");
+  std::vector<uint64_t> out;
+  for (uint64_t line = 0; line < opts_.size; line += kCacheLine)
+    if (std::memcmp(base_ + line, shadow_.get() + line, kCacheLine) != 0)
+      out.push_back(line);
+  return out;
+}
+
+void Arena::crash_keeping(const std::vector<uint64_t>& survivors) {
+  if (!shadow_) throw std::logic_error("crash_keeping() requires shadow");
+  disarm_crash();
+  for (const uint64_t line : survivors)
+    std::memcpy(shadow_.get() + line, base_ + line, kCacheLine);
+  for (const uint64_t line : unflushed_lines())
+    std::memcpy(base_ + line, shadow_.get() + line, kCacheLine);
+  if (check_) check_->on_crash();
+}
+
 }  // namespace hart::pmem

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "obs/counters.h"
@@ -185,6 +186,14 @@ class Arena {
   /// Lose all unflushed stores (requires Options::shadow). Each dirty line
   /// independently survives with eviction_prob.
   void crash();
+  /// Crash-state enumeration (test-only; requires Options::shadow): the
+  /// offsets of the cache lines whose contents differ from the persisted
+  /// image, ascending.
+  [[nodiscard]] std::vector<uint64_t> unflushed_lines() const;
+  /// crash() with an explicit survivor set instead of eviction_prob: the
+  /// unflushed lines listed in `survivors` reach PM, every other
+  /// unflushed line is lost.
+  void crash_keeping(const std::vector<uint64_t>& survivors);
   /// Number of persist() calls since construction (to size crash sweeps).
   [[nodiscard]] uint64_t persist_count() const {
     return stats_.persist_calls.load(std::memory_order_relaxed);

@@ -1,22 +1,21 @@
 // Persistent-format and batched-metadata crash-repair tests for the PM
-// allocator. A checked-in arena image written by the paper's
-// single-instance EPallocator must keep reopening with identical contents,
-// and keep working across a further reopen. The batched chunk-header
-// schedule additionally introduces two recoverable torn shapes (an
-// in-flight delete whose header clears were deferred, and a committed
-// value orphaned by such a delete); these tests pin both the deterministic
-// repairs and a crash sweep across the persist stream.
+// allocator. A checked-in arena image written in the update-log format
+// (format 0) must be refused with a typed status, without a byte of it
+// being written. The batched chunk-header schedule additionally introduces
+// two recoverable torn shapes (an in-flight delete whose header clears
+// were deferred, and a committed value orphaned by such a delete); these
+// tests pin both the deterministic repairs and a crash sweep across the
+// persist stream.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include "checked_arena.h"
+#include "legacy_image.h"
 
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <iterator>
 #include <string>
-#include <vector>
 
 #include "hart/hart.h"
 #include "hart/verify.h"
@@ -44,110 +43,43 @@ uint64_t counter_value(const char* name) {
   return obs::Registry::instance().counter(name).value();
 }
 
-// The workload that wrote tests/data/legacy_arena_200keys.txt (see the
-// file's header).
-std::string legacy_key(uint64_t i) {
-  return std::to_string(i * 2654435761ULL % 1000003ULL) + "-" +
-         std::string(i % 9, static_cast<char>('a' + i % 26));
-}
-std::string legacy_value(uint64_t i) {
-  return std::string(1 + i * 13 % 64, static_cast<char>('A' + i % 26));
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
-/// Rebuilds the checked-in arena image at `path`; returns the arena size.
-size_t write_legacy_image(const std::string& path) {
-  std::ifstream in(std::string(HART_TEST_DATA_DIR) +
-                   "/legacy_arena_200keys.txt");
-  EXPECT_TRUE(in.good()) << "missing golden arena image";
-  std::vector<char> img;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string first;
-    std::string bytes;
-    ls >> first >> bytes;
-    if (first == "size") {
-      img.assign(std::stoull(bytes), 0);
-      continue;
-    }
-    const size_t off = std::stoull(first, nullptr, 16);
-    EXPECT_LE(off + bytes.size() / 2, img.size()) << line;
-    for (size_t b = 0; b + 1 < bytes.size(); b += 2)
-      img[off + b / 2] =
-          static_cast<char>(std::stoul(bytes.substr(b, 2), nullptr, 16));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(img.data(), static_cast<std::streamsize>(img.size()));
-  return img.size();
-}
-
-/// `h` holds exactly `ref`: every key reads back its value, and the leaf
-/// lists hold no other key.
-void expect_exactly(const Hart& h,
-                    const std::map<std::string, std::string>& ref) {
-  EXPECT_EQ(h.size(), ref.size());
-  for (const auto& [k, want] : ref) {
-    std::string v;
-    ASSERT_EQ(h.search(k, &v), common::Status::kOk) << k;
-    EXPECT_EQ(v, want) << k;
-  }
-  std::map<std::string, int> seen;
-  h.for_each_key([&](std::string_view k) { ++seen[std::string(k)]; });
-  EXPECT_EQ(seen.size(), ref.size());
-  for (const auto& [k, n] : seen) {
-    EXPECT_EQ(n, 1) << k;
-    EXPECT_EQ(ref.count(k), 1u) << "unexpected key " << k;
-  }
-}
-
-TEST(AllocParity, LegacyArenaReopensUnderStriped) {
+TEST(AllocParity, LegacyArenaIsRefusedWithATypedStatus) {
   const std::string path = pmem::Arena::resolve_file_path(
       "alloc_parity_legacy_" + std::to_string(::getpid()) + ".pm");
   pmem::Arena::Options o;
-  o.size = write_legacy_image(path);
+  o.size = testutil::write_legacy_image(path);
   o.file_path = path;
   o.charge_alloc_persist = false;
-
-  std::map<std::string, std::string> ref;
-  for (uint64_t i = 0; i < 200; ++i) ref[legacy_key(i)] = legacy_value(i);
-  ref[legacy_key(17)] = std::string(50, 'U');
-  ref.erase(legacy_key(42));
+  const std::string before = file_bytes(path);
   {
     auto arena = testutil::make_checked_arena(o);
     ASSERT_TRUE(arena->reopened());
-    const VerifyReport rep = verify_hart_image(*arena);
-    EXPECT_TRUE(rep.ok()) << rep.summary();
-    EXPECT_EQ(rep.live_leaves, 199u);
-    Hart h(*arena);
-    expect_exactly(h, ref);
-    // And it keeps working: fresh inserts, class-changing updates of old
-    // keys, deletes of old keys.
-    for (uint64_t i = 200; i < 260; ++i) {
-      ASSERT_EQ(h.insert(legacy_key(i), legacy_value(i)),
-                common::Status::kInserted);
-      ref[legacy_key(i)] = legacy_value(i);
+    try {
+      Hart h(*arena);
+      ADD_FAILURE() << "a format-0 image must be refused";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(e.status(), common::Status::kUnsupportedFormat);
+      EXPECT_EQ(e.found_format(), 0u);
     }
-    for (uint64_t i = 0; i < 200; i += 7) {
-      if (i == 42) continue;
-      const std::string v(1 + (i * 29 + 5) % 64, 'w');
-      ASSERT_EQ(h.update(legacy_key(i), v), common::Status::kOk);
-      ref[legacy_key(i)] = v;
-    }
-    for (uint64_t i = 1; i < 200; i += 11) {
-      ASSERT_EQ(h.remove(legacy_key(i)), common::Status::kOk);
-      ref.erase(legacy_key(i));
-    }
-    expect_exactly(h, ref);
+    // The verifier refuses to interpret it too.
+    EXPECT_FALSE(verify_hart_image(*arena).ok());
   }
-  {
-    auto arena = testutil::make_checked_arena(o);
-    const VerifyReport rep = verify_hart_image(*arena);
-    EXPECT_TRUE(rep.ok()) << rep.summary();
-    Hart h(*arena);
-    expect_exactly(h, ref);
-  }
+  // The refusal wrote nothing: the image is byte-identical.
+  EXPECT_EQ(file_bytes(path), before);
   std::remove(path.c_str());
+}
+
+TEST(AllocParity, CurrentFormatIsStampedAndAccepted) {
+  auto arena = make_arena();
+  { Hart h(*arena); }  // fresh
+  EXPECT_EQ(arena->root<HartRoot>()->format, kHartFormatVersion);
+  EXPECT_NO_THROW({ Hart h(*arena); });  // reopened
 }
 
 // Deterministic batched-metadata repairs: fence a populated tree, delete

@@ -1,9 +1,9 @@
 // Multithreaded stress tests for EPallocator: concurrent two-phase
-// allocation never double-issues a slot, commits/frees/recycles from many
-// threads keep the chunk lists and bitmaps consistent, and the update-log
-// slot pool never hands the same slot to two threads. The allocator runs
-// with four stripes, so threads with different home stripes allocate side
-// by side and steal from each other's stripes once their own runs dry.
+// allocation never double-issues a slot, and commits/frees/recycles from
+// many threads keep the chunk lists, the predecessor links, the dense
+// chunk tables and the bitmaps consistent. The allocator runs with four
+// stripes, so threads with different home stripes allocate side by side
+// and steal from each other's stripes once their own runs dry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,32 +130,91 @@ TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
   EXPECT_EQ(arena.stats().pm_live_bytes.load(), 0u);
 }
 
-TEST(EPAllocConcurrent, UlogSlotsAreExclusive) {
+// Four threads churn all five object types at once, growing and then
+// draining their working sets so chunks empty and get recycled while the
+// other threads link new chunks into the same lists. Frees go through the
+// eager path (recycle only when the free reports an empty chunk) and the
+// retired path (reuse and recycle deferred to release_retired). Afterwards
+// every list must be intact and agree with the dense tables, and the live
+// counts must match what the threads hold.
+TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
   pmem::Arena::Options o;
-  o.size = 16 << 20;
+  o.size = 64 << 20;
   pmem::Arena arena(o);
   Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
                kFourStripes);
+  auto& recycles =
+      obs::Registry::instance().counter("ep_chunk_recycle_total");
+  const uint64_t recycles0 = recycles.value();
 
-  std::atomic<bool> failed{false};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 6;
+  std::vector<std::vector<uint64_t>> held(kThreads * kNumObjTypes);
   std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 20000; ++i) {
-        UpdateLog* log = ep.acquire_ulog();
-        // Exclusive ownership: nobody else writes this slot while held.
-        log->pleaf = static_cast<uint64_t>(t + 1);
-        log->poldv = static_cast<uint64_t>(i);
-        if (log->pleaf != static_cast<uint64_t>(t + 1))
-          failed.store(true, std::memory_order_relaxed);
-        ep.reclaim_ulog(log);
+      common::Rng rng(t * 977 + 5);
+      auto mine = [&](int type) -> std::vector<uint64_t>& {
+        return held[t * kNumObjTypes + type];
+      };
+      auto free_one = [&](ObjType type, uint64_t off) {
+        if (rng.next_below(4) == 0) {
+          ep.free_object_retired(type, off);
+          ep.release_retired(type, off);
+        } else if (ep.free_object(type, off)) {
+          ep.recycle_chunk_of(type, off);
+        }
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const int target = 100 + static_cast<int>(rng.next_below(300));
+        for (int i = 0; i < target * kNumObjTypes; ++i) {
+          const int type = static_cast<int>(rng.next_below(kNumObjTypes));
+          const auto ot = static_cast<ObjType>(type);
+          const uint64_t off = reserve(ep, ot);
+          if (type == 0) arena.ptr<FakeLeaf>(off)->p_value = 0;
+          ep.commit(ot, off);
+          mine(type).push_back(off);
+        }
+        // Drain all but a few objects, in random order.
+        for (int type = 0; type < kNumObjTypes; ++type) {
+          auto& v = mine(type);
+          const size_t keep = round + 1 == kRounds ? 7 : 0;
+          while (v.size() > keep) {
+            const size_t pick = rng.next_below(v.size());
+            const uint64_t off = v[pick];
+            v[pick] = v.back();
+            v.pop_back();
+            free_one(static_cast<ObjType>(type), off);
+          }
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_FALSE(failed.load());
-  for (const auto& slot : arena.root<R>()->ep.ulogs)
-    EXPECT_EQ(slot.pleaf, 0u) << "all slots reclaimed";
+  EXPECT_GT(recycles.value(), recycles0) << "the churn must recycle chunks";
+
+  uint64_t chunk_bytes = 0;
+  for (int type = 0; type < kNumObjTypes; ++type) {
+    const auto ot = static_cast<ObjType>(type);
+    uint64_t want = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      for (const uint64_t off : held[t * kNumObjTypes + type])
+        EXPECT_TRUE(ep.bit_is_set(ot, off)) << off;
+      want += held[t * kNumObjTypes + type].size();
+    }
+    EXPECT_EQ(ep.live_objects(ot), want) << "type " << type;
+    // The persistent list holds each chunk once, and exactly the chunks
+    // the tables hold.
+    const std::vector<uint64_t> list = ep.chunk_offsets(ot);
+    EXPECT_EQ(std::set<uint64_t>(list.begin(), list.end()).size(),
+              list.size());
+    EXPECT_EQ(list.size(), ep.chunk_count(ot)) << "type " << type;
+    uint64_t listed_live = 0;
+    ep.for_each_live(ot, [&](uint64_t) { ++listed_live; });
+    EXPECT_EQ(listed_live, want) << "type " << type;
+    chunk_bytes += list.size() * ep.geom(ot).chunk_bytes;
+  }
+  EXPECT_EQ(arena.stats().pm_live_bytes.load(), chunk_bytes) << "PM leak";
 }
 
 TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
@@ -185,9 +244,9 @@ TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
         ep.commit(ObjType::kLeaf, leaf);
         if (rng.next_below(2)) {
           // Delete via the combined leaf+value release.
-          ep.free_leaf_with_value(leaf, vcls, val);
-          ep.recycle_chunk_of(vcls, val);
-          ep.recycle_chunk_of(ObjType::kLeaf, leaf);
+          const auto emptied = ep.free_leaf_with_value(leaf, vcls, val);
+          if (emptied.value) ep.recycle_chunk_of(vcls, val);
+          if (emptied.leaf) ep.recycle_chunk_of(ObjType::kLeaf, leaf);
         }
       }
     });

@@ -230,8 +230,8 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   // Selective persistence pins the write schedules exactly, never one
   // persist per touched internal node. On a warmed arena (no chunk is
   // created or recycled): insert = value, whole leaf, value bit, leaf bit;
-  // update = new value, log record, new value bit, leaf tail, old value
-  // bit, log reclaim; delete = leaf bit, value bit, p_value clear.
+  // update = new value, new value bit, value word, old value bit (no
+  // log); delete = leaf bit, value bit, p_value clear.
   auto arena = make_arena();
   Hart h(*arena, testutil::hart_options());
   // Warm up: create the chunks, then free every other slot. No chunk can
@@ -251,7 +251,7 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; ++i)
     h.update("probe" + std::to_string(i), "w");
-  EXPECT_EQ(persists_since(before), 6u * 50);
+  EXPECT_EQ(persists_since(before), 4u * 50);
 
   before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; i += 2)
@@ -266,55 +266,29 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   EXPECT_EQ(arena->stats().pm_read_lines.load() - lines, 0u);
 }
 
-TEST(Hart, UpdateLogSlotsNeverStraddleACacheLine) {
-  // An update flushes its log record once, with PNewV stored last; that is
-  // failure-atomic only if the 32-byte slot lies inside one cache line.
+TEST(Hart, BatchedMetadataUpdateCostsTwoPersists) {
+  // With chunk-header persists batched onto the epoch fence, an update
+  // persists only its new value and its value word; both bit flips ride
+  // the next flush_epoch().
   auto arena = make_arena();
-  Hart h(*arena, testutil::hart_options());
-  std::vector<epalloc::UpdateLog*> held;
-  for (int i = 0; i < 16; ++i) {
-    epalloc::UpdateLog* log = h.allocator().acquire_ulog();
-    const uint64_t off = arena->off(log);
-    EXPECT_EQ(off / pmem::kCacheLine,
-              (off + sizeof(*log) - 1) / pmem::kCacheLine)
-        << "slot at offset " << off;
-    held.push_back(log);
-  }
-  for (auto* log : held) h.allocator().reclaim_ulog(log);
-}
-
-TEST(Hart, RecoveryZeroesTornUpdateLogSlot) {
-  // A torn LogReclaim can leave {pleaf = 0, pnewv = stale}. Recovery must
-  // zero it: a surviving stale PNewV would complete the record of a later
-  // update in this slot before that update's own flush.
-  auto arena = make_arena();
-  {
-    Hart h(*arena, testutil::hart_options());
-    h.insert("key", "old");
-    h.update("key", "new");
-  }
-  auto* root = arena->root<HartRoot>();
-  epalloc::UpdateLog& slot = root->ep.ulogs[1];
-  const uint64_t off = arena->off(&slot);
-  ASSERT_NE(off / pmem::kCacheLine, (off + sizeof(slot) - 1) / pmem::kCacheLine)
-      << "the crafted slot must be one that straddles a line";
-  slot.poldv = 0x1000;
-  slot.pnewv = 0x2000;
-  slot.meta = epalloc::UpdateLog::pack_meta(3, epalloc::ObjType::kValue8,
-                                            epalloc::ObjType::kValue8);
-  arena->trace_store(&slot, sizeof(slot));
-  arena->persist(&slot, sizeof(slot));
-
-  Hart h(*arena, testutil::hart_options());  // recovery
-  EXPECT_EQ(slot.pleaf, 0u);
-  EXPECT_EQ(slot.poldv, 0u);
-  EXPECT_EQ(slot.pnewv, 0u);
-  EXPECT_EQ(slot.meta, 0u);
+  Hart::Options opts = testutil::hart_options();
+  opts.alloc.batched_meta = true;
+  Hart h(*arena, opts);
+  // Warm up as above, so no update needs a fresh chunk.
+  for (int i = 0; i < 400; ++i)
+    h.insert("warm" + std::to_string(i), "v");
+  for (int i = 0; i < 400; i += 2) h.remove("warm" + std::to_string(i));
+  h.quiesce();
+  for (int i = 0; i < 50; ++i) h.insert("probe" + std::to_string(i), "v");
+  h.flush_epoch();
+  const uint64_t before = arena->stats().persist_calls.load();
+  for (int i = 0; i < 50; ++i)
+    ASSERT_EQ(h.update("probe" + std::to_string(i), "w"), common::Status::kOk);
+  EXPECT_EQ(arena->stats().persist_calls.load() - before, 2u * 50);
+  h.flush_epoch();
   std::string v;
-  EXPECT_EQ(h.search("key", &v), common::Status::kOk);
-  EXPECT_EQ(v, "new");
-  const auto report = verify_hart_image(*arena);
-  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(h.search("probe7", &v), common::Status::kOk);
+  EXPECT_EQ(v, "w");
 }
 
 TEST(Hart, MultiGetGroupsByPartition) {

@@ -8,13 +8,18 @@
 //   2. the recovered contents equal a DramIndex oracle of the acked state
 //      in which each key with unacked operations may instead hold the
 //      state after any one of them (and nothing else, never a torn value);
-//   3. verify_hart_image reports no error, live PM bytes equal the
-//      reachable chunks, and PMCheck saw no violation;
+//   3. verify_hart_image reports no error and no orphaned value, live PM
+//      bytes equal the reachable chunks, and PMCheck saw no violation;
 //   4. all of the above still holds after the recovered tree re-allocates
 //      the freed value and leaf slots (updates, then fresh inserts).
 // Eager allocator metadata acks each operation when it returns; batched
 // metadata acks at the epoch fence, as hartd does. Each runs under the
-// strict crash model and with dirty lines surviving with probability 0.5.
+// strict crash model (every unflushed line lost) and under eviction: a
+// crash point with at most kMaxEnumeratedLines unflushed cache lines is
+// recovered from every non-empty subset of them surviving (each subset is
+// a replay of the history to the same point; the empty one is the strict
+// run), and one with more from one seeded random subset, each line
+// surviving with probability 0.5.
 // The tier-1 cases use one short history; the crash_long ctest leg sweeps
 // longer histories over several seeds.
 #include <gtest/gtest.h>
@@ -167,17 +172,22 @@ class Oracle {
 struct SweepConfig {
   const char* name;
   bool batched_meta;
-  double eviction_prob;
+  bool evict;  // enumerate survivor subsets (see the file comment)
 };
 
 void PrintTo(const SweepConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 const SweepConfig kConfigs[] = {
-    {"eager", false, 0.0},
-    {"eager_evict", false, 0.5},
-    {"batched", true, 0.0},
-    {"batched_evict", true, 0.5},
+    {"eager", false, false},
+    {"eager_evict", false, true},
+    {"batched", true, false},
+    {"batched_evict", true, true},
 };
+
+/// Crash points with at most this many unflushed lines are recovered from
+/// every survivor subset (2^4 = 16 replays at most, one of them the strict
+/// config's).
+constexpr size_t kMaxEnumeratedLines = 4;
 
 Hart::Options hart_options(const SweepConfig& cfg) {
   Hart::Options o;
@@ -191,7 +201,9 @@ testutil::CheckedArena make_arena(const SweepConfig& cfg, uint64_t seed) {
   o.size = size_t{2} << 20;
   o.shadow = true;
   o.charge_alloc_persist = false;
-  o.eviction_prob = cfg.eviction_prob;
+  // Only crash points with too many unflushed lines to enumerate draw a
+  // random survivor subset.
+  o.eviction_prob = cfg.evict ? 0.5 : 0.0;
   o.crash_seed = seed;
   return testutil::make_checked_arena(o);
 }
@@ -205,17 +217,26 @@ std::vector<std::pair<std::string, std::string>> contents(
   return out;
 }
 
+struct CrashRun {
+  bool crashed = false;    // false: the history completed first
+  size_t unflushed = 0;    // unflushed lines at the crash point
+};
+
 /// Runs `history` with a crash armed at persist `crash_at`, recovers, and
-/// checks the recovered image. Returns false when the history completed
-/// before the crash point was reached (the sweep is over).
-bool crash_and_check(const SweepConfig& cfg, const std::vector<Op>& history,
-                     uint64_t crash_at, uint64_t seed) {
+/// checks the recovered image. At the crash, the unflushed lines whose
+/// bits are set in `survivors` reach PM (bit i = the i-th lowest line) if
+/// there are at most kMaxEnumeratedLines of them; otherwise the arena's
+/// eviction_prob draws the survivors.
+CrashRun crash_and_check(const SweepConfig& cfg,
+                         const std::vector<Op>& history, uint64_t crash_at,
+                         uint64_t seed, uint32_t survivors) {
   SCOPED_TRACE(std::string(cfg.name) + " seed=" + std::to_string(seed) +
-               " crash_at=" + std::to_string(crash_at));
+               " crash_at=" + std::to_string(crash_at) +
+               " survivors=" + std::to_string(survivors));
   auto arena = make_arena(cfg, crash_at * 7919 + seed);
   const Hart::Options opts = hart_options(cfg);
   Oracle oracle;
-  bool crashed = false;
+  CrashRun run;
   {
     Hart h(*arena, opts);
     arena->arm_crash_after(crash_at);
@@ -244,8 +265,17 @@ bool crash_and_check(const SweepConfig& cfg, const std::vector<Op>& history,
       }
       arena->disarm_crash();
     } catch (const pmem::CrashPoint&) {
-      crashed = true;
-      arena->crash();
+      run.crashed = true;
+      const std::vector<uint64_t> lines = arena->unflushed_lines();
+      run.unflushed = lines.size();
+      if (lines.size() > kMaxEnumeratedLines) {
+        arena->crash();
+      } else {
+        std::vector<uint64_t> keep;
+        for (size_t i = 0; i < lines.size(); ++i)
+          if (((survivors >> i) & 1) != 0) keep.push_back(lines[i]);
+        arena->crash_keeping(keep);
+      }
     }
   }
 
@@ -300,20 +330,38 @@ bool crash_and_check(const SweepConfig& cfg, const std::vector<Op>& history,
   EXPECT_EQ(contents(h2), contents(oracle.acked()));
   const VerifyReport after = verify_hart_image(*arena);
   EXPECT_TRUE(after.ok()) << "after reuse: " << after.summary();
-  return crashed;
+  return run;
 }
 
 /// Crashes `history` at every persist boundary, from the first persist
-/// after construction to the last one of the history.
+/// after construction to the last one of the history; with eviction, at
+/// every survivor subset of each enumerable boundary too.
 void sweep(const SweepConfig& cfg, int mix_ops, uint64_t seed) {
   const std::vector<Op> history = make_history(mix_ops, seed);
   uint64_t crash_at = 1;
-  while (crash_and_check(cfg, history, crash_at, seed)) {
+  uint64_t enumerated = 0;  // crash points recovered from every subset
+  // With eviction the first replay at a point keeps every unflushed line;
+  // the strict config of the same schedule already keeps none.
+  const uint32_t first = cfg.evict ? ~uint32_t{0} : 0;
+  for (;; ++crash_at) {
+    const CrashRun run =
+        crash_and_check(cfg, history, crash_at, seed, first);
+    if (!run.crashed) break;
     if (::testing::Test::HasFailure()) return;  // first failure is enough
-    ++crash_at;
+    if (!cfg.evict || run.unflushed > kMaxEnumeratedLines) continue;
+    const uint32_t all = (uint32_t{1} << run.unflushed) - 1;
+    for (uint32_t s = 1; s < all; ++s) {
+      crash_and_check(cfg, history, crash_at, seed, s);
+      if (::testing::Test::HasFailure()) return;
+    }
+    ++enumerated;
   }
-  // Sanity: the sweep covered a real write stream.
+  // Sanity: the sweep covered a real write stream, and with eviction
+  // nearly every crash point was enumerated.
   EXPECT_GT(crash_at, history.size()) << cfg.name;
+  if (cfg.evict) {
+    EXPECT_GT(enumerated * 2, crash_at) << cfg.name;
+  }
 }
 
 class HartCrashSweep : public ::testing::TestWithParam<SweepConfig> {};

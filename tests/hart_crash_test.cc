@@ -1,6 +1,7 @@
 // Crash-consistency property tests for HART (DESIGN.md Section 4): sweep a
 // simulated crash across every persist point of insert / update / delete
-// streams, recover (Algorithm 7 + the micro-log case analyses), and check:
+// streams, recover (Algorithm 7, the recycle-log case analysis and the
+// repairs of a log-free update), and check:
 //   1. committed keys are present with their committed values;
 //   2. uncommitted keys are absent;
 //   3. leak freedom: live PM bytes equal exactly the reachable chunks;
@@ -115,9 +116,9 @@ TEST(HartCrash, UpdateSweepHonorsLogCases) {
       } else if (i > updated) {
         EXPECT_EQ(v, "old") << "uncommitted update became visible";
       } else {
-        // The mid-crash update may have landed either way (Alg. 3 recovery
-        // redoes from line 7 when all three pointers were valid) — but it
-        // must be one of the two values, never torn.
+        // The mid-crash update may have landed either way (its value word
+        // is the commit point; recovery frees whichever value the leaf no
+        // longer names) — but it must be one of the two values, never torn.
         EXPECT_TRUE(v == "old" || v == "new-value-16byte") << v;
       }
     }
@@ -267,8 +268,8 @@ TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
 }
 
 TEST(HartCrash, RepeatedCrashesDuringRecovery) {
-  // Crash during recovery itself (replaying the update log), then recover
-  // again: recovery must be idempotent.
+  // Crash during recovery itself (freeing an update's orphaned value),
+  // then recover again: recovery must be idempotent.
   const auto keys = workload::make_random(60, 3, 4, 10);
   auto arena = make_arena();
   {

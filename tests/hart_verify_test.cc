@@ -55,7 +55,8 @@ TEST(Verify, NonHartArenaReportsMagicMismatch) {
 
 TEST(Verify, CrashStatesVerifyCleanAfterCrash) {
   // Right after a crash (before recovery), the image may contain pending
-  // reclamations and in-flight logs — warnings, not errors.
+  // reclamations, orphaned values of an in-flight update and an in-flight
+  // recycle log — warnings, not errors.
   const auto keys = workload::make_random(150, 3, 4, 10);
   for (uint64_t crash_at = 3; crash_at <= 300; crash_at += 17) {
     auto arena = make_arena();
@@ -74,10 +75,11 @@ TEST(Verify, CrashStatesVerifyCleanAfterCrash) {
         arena->crash();
       }
     }
-    const auto before = verify_hart_image(*arena);
+    const auto before = verify_hart_image(*arena, ImageState::kCrashed);
     EXPECT_TRUE(before.ok())
         << "crash_at=" << crash_at << ": " << before.summary();
-    // After recovery the image must be spotless: no in-flight logs.
+    // After recovery the image must be spotless: no in-flight logs, no
+    // orphaned values.
     Hart recovered(*arena);
     const auto after = verify_hart_image(*arena);
     EXPECT_TRUE(after.ok()) << after.summary();
@@ -147,7 +149,6 @@ TEST_F(VerifyCorruption, DetectsDoubleReferencedValue) {
   auto* l1 = arena_->ptr<HartLeaf>(g.object_off(leaf_chunk(), i1));
   auto* l2 = arena_->ptr<HartLeaf>(g.object_off(leaf_chunk(), i2));
   l2->p_value = l1->p_value;
-  l2->val_class = l1->val_class;
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
 }
 
@@ -162,11 +163,34 @@ TEST_F(VerifyCorruption, DetectsDanglingValueReference) {
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
 }
 
+TEST_F(VerifyCorruption, DetectsOrphanedValueUnlessCrashed) {
+  // Commit a value slot no leaf references: a leak in a live or recovered
+  // image, a leftover recovery frees in a crashed one.
+  uint64_t c_off =
+      root_->ep.heads[static_cast<int>(epalloc::ObjType::kValue8)];
+  while (c_off != 0 && epalloc::ChunkHdr::full(
+                           arena_->ptr<epalloc::MemChunk>(c_off)->header))
+    c_off = arena_->ptr<epalloc::MemChunk>(c_off)->pnext;
+  ASSERT_NE(c_off, 0u);
+  auto* c = arena_->ptr<epalloc::MemChunk>(c_off);
+  c->header = epalloc::ChunkHdr::with_bit(
+      c->header,
+      static_cast<uint32_t>(
+          std::countr_one(epalloc::ChunkHdr::bitmap(c->header))),
+      true);
+  const auto live = verify_hart_image(*arena_);
+  EXPECT_FALSE(live.ok()) << live.summary();
+  EXPECT_EQ(live.orphaned_values, 1u);
+  const auto crashed = verify_hart_image(*arena_, ImageState::kCrashed);
+  EXPECT_TRUE(crashed.ok()) << crashed.summary();
+  EXPECT_EQ(crashed.orphaned_values, 1u);
+}
+
 TEST_F(VerifyCorruption, DetectsPartiallyClearedLogs) {
   root_->ep.rlog.pprev = 0xdead;  // pcurrent stays 0
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
   root_->ep.rlog.pprev = 0;
-  root_->ep.ulogs[3].poldv = 0xbeef;  // pleaf stays 0
+  root_->ep.rlog.type_plus1 = 2;  // pcurrent stays 0
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
 }
 

@@ -1,8 +1,9 @@
 // hartd crash-safety: the service's contract is "acked => durable".
 // Covers (1) graceful restart on file-backed shard arenas, (2) a simulated
 // crash point firing inside a shard worker mid-batch (shadow-arena
-// rollback + per-shard recovery), and (3) a real SIGKILL of a forked
-// child process followed by restart on its arena files.
+// rollback + per-shard recovery), (3) a real SIGKILL of a forked
+// child process followed by restart on its arena files, and (4) a shard
+// arena of an older on-media format, which the open refuses.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "hart/hart.h"
+#include "legacy_image.h"
 #include "server/client.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -46,6 +49,22 @@ Hartd::Options file_backed_opts(const std::string& dir, size_t shards) {
   o.arena_mb = 32;
   o.arena_dir = dir;
   return o;
+}
+
+TEST(RestartTest, OlderFormatShardIsRefusedWithATypedStatus) {
+  const std::string dir = make_test_dir("format");
+  const size_t bytes = testutil::write_legacy_image(dir + "/shard-0.arena");
+  Hartd::Options o = file_backed_opts(dir, 1);
+  o.arena_mb = bytes >> 20;
+  try {
+    Hartd db(o);
+    ADD_FAILURE() << "hartd opened a format-0 shard arena";
+  } catch (const core::FormatError& e) {
+    EXPECT_EQ(e.status(), common::Status::kUnsupportedFormat);
+    EXPECT_EQ(e.found_format(), 0u);
+  }
+  std::remove((dir + "/shard-0.arena").c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(RestartTest, GracefulRestartRecoversEveryShard) {

@@ -129,6 +129,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(batches),
                 static_cast<unsigned long long>(epochs), db.total_size());
     return 0;
+  } catch (const hart::core::FormatError& e) {
+    // An arena written by an incompatible build: refuse it, untouched.
+    std::fprintf(stderr, "hartd: refusing shard arena in %s: %s\n",
+                 cfg.service.arena_dir.c_str(), e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hartd: fatal: %s\n", e.what());
     return 1;

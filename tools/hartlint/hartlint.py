@@ -31,7 +31,7 @@ also rests on epochs, seqlocks and explicit persistence):
                                 traverses.
 
   HL004 unvalidated-seqlock-read A reader that captures a seqlock version
-                                word (leaf vseq, partition mod_version)
+                                word (e.g. partition mod_version)
                                 must re-load and compare it after reading
                                 the protected fields. Without the
                                 re-validation the "snapshot" may be torn.
