@@ -41,7 +41,6 @@ void BM_EPAllocatorAllocFree(benchmark::State& state) {
   };
   // One stripe, eager header persists: the paper's EPallocator.
   epalloc::Allocator ep(arena, &arena.root<R>()->ep, sizeof(core::HartLeaf),
-                        &core::hart_leaf_probe, &core::hart_leaf_clear,
                         {.stripes = 1, .batched_meta = false});
   for (auto _ : state) {
     uint64_t off = 0;

@@ -38,21 +38,23 @@ int run(int argc, char** argv) {
   const std::string file = argv[1];
   const std::string cmd = argv[2];
 
+  // Every command inspects an existing image, opened at the size it was
+  // created with; a missing file or one that holds no arena is refused,
+  // never created or initialized.
   hart::pmem::Arena::Options opts;
-  opts.size = 256 << 20;
   opts.file_path = file;
-  hart::pmem::Arena arena(opts);
-  if (!arena.reopened()) {
-    std::cerr << "warning: " << file
-              << " was not an existing arena (fresh image created)\n";
+  opts.size = hart::pmem::Arena::image_size(file);
+  if (opts.size == 0) {
+    std::cerr << file << ": no arena image there\n";
+    return 1;
   }
+  hart::pmem::Arena arena(opts);
 
   if (cmd == "verify") {
-    // Offline: no Hart instance, the raw image is inspected as-is. It may
-    // be straight from a crash, so orphaned values are only a warning
-    // here; `recover` verifies strictly after recovery.
-    const auto report = hart::core::verify_hart_image(
-        arena, hart::core::ImageState::kCrashed);
+    // Offline: no Hart instance, the raw image is inspected as-is. A
+    // crashed image needs no allowance: a value is live exactly when a
+    // live leaf names it.
+    const auto report = hart::core::verify_hart_image(arena);
     std::cout << report.summary() << "\n";
     for (const auto& issue : report.issues)
       std::cout << (issue.severity ==
@@ -131,6 +133,9 @@ int main(int argc, char** argv) {
     return run(argc, argv);
   } catch (const hart::core::FormatError& e) {
     // An image written by an incompatible build is refused untouched.
+    std::cerr << argv[1] << ": " << e.what() << "\n";
+    return 1;
+  } catch (const std::runtime_error& e) {
     std::cerr << argv[1] << ": " << e.what() << "\n";
     return 1;
   }

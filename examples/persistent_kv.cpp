@@ -32,9 +32,11 @@ int run(int argc, char** argv) {
   const std::string file = argv[1];
   const std::string cmd = argv[2];
 
+  // An existing image opens at the size it was created with; a new one is
+  // sized by HART_ARENA_MB (default 256 MiB).
   hart::pmem::Arena::Options opts;
-  opts.size = 256 << 20;
   opts.file_path = file;
+  opts.size = hart::pmem::Arena::image_size(file);  // 0 = HART_ARENA_MB
   hart::pmem::Arena arena(opts);
   hart::core::Hart index(arena);  // re-opens + recovers if the file exists
 
@@ -89,6 +91,9 @@ int main(int argc, char** argv) {
     return run(argc, argv);
   } catch (const hart::core::FormatError& e) {
     // An image written by an incompatible build is refused untouched.
+    std::cerr << argv[1] << ": " << e.what() << "\n";
+    return 1;
+  } catch (const std::runtime_error& e) {
     std::cerr << argv[1] << ": " << e.what() << "\n";
     return 1;
   }

@@ -23,7 +23,6 @@ struct EpCounters {
   obs::Counter& free_obj;
   obs::Counter& chunk_alloc;
   obs::Counter& chunk_recycle;
-  obs::Counter& stale_value_reclaim;
   obs::Counter& pm_meta_persists;
   obs::Counter& stripe_steals;
   obs::Counter& stripe_spawned;
@@ -40,7 +39,6 @@ EpCounters& ep_counters() {
       reg.counter("ep_free_total"),
       reg.counter("ep_chunk_alloc_total"),
       reg.counter("ep_chunk_recycle_total"),
-      reg.counter("ep_stale_value_reclaim_total"),
       reg.counter("epalloc_pm_meta_persists_total"),
       reg.counter("epalloc_stripe_steals_total"),
       reg.counter("epalloc_stripe_spawned_total"),
@@ -81,12 +79,9 @@ uint32_t resolve_stripes(uint32_t n) {
 }  // namespace
 
 Allocator::Allocator(pmem::Arena& arena, EPRoot* root, uint32_t leaf_obj_size,
-                     LeafProbeFn probe, LeafClearFn clear,
                      const AllocOptions& opts)
     : arena_(arena),
       root_(root),
-      probe_(probe),
-      clear_(clear),
       nstripes_(resolve_stripes(opts.stripes)),
       batched_(opts.batched_meta) {
   types_[static_cast<int>(ObjType::kLeaf)].geom =
@@ -186,10 +181,8 @@ bool Allocator::try_reserve_in_stripe(TypeState& st, Stripe& s,
       continue;
     }
     ChunkState& cs = *found;
-    // All allocation decisions read the DRAM shadow; pending-free slots
-    // stay occupied until their cleared header is durable.
-    const uint64_t occupied =
-        cs.shadow | cs.reserved | cs.retired | cs.pending;
+    // All allocation decisions read the DRAM shadow.
+    const uint64_t occupied = cs.shadow | cs.reserved | cs.retired;
     const auto idx = static_cast<uint32_t>(std::countr_one(occupied));
     if (idx >= kObjectsPerChunk) {  // actually full
       cs.in_avail = false;
@@ -235,20 +228,9 @@ uint64_t Allocator::reserve_impl(ObjType t) {
 
   // PMCheck: the slot may be re-used space whose previous content was
   // persisted; the new owner's first flush must not count as redundant.
+  // Algorithm 2's lines 12-16 (reclaim the value a free leaf slot still
+  // names) are gone with the value bits: that value is already free.
   arena_.note_object_alloc(obj_off, st.geom.obj_size);
-
-  // Algorithm 2 lines 12-16: a free leaf slot may still reference a value
-  // committed by a prior incomplete insertion or deletion; reclaim it so
-  // the value object becomes allocatable again.
-  if (t == ObjType::kLeaf && probe_ != nullptr) {
-    const LeafValueRef ref = probe_(arena_, obj_off);
-    if (ref.value_off != 0 && bit_is_set(ref.cls, ref.value_off)) {
-      ep_counters().stale_value_reclaim.inc();
-      if (free_object(ref.cls, ref.value_off))
-        recycle_chunk_of(ref.cls, ref.value_off);
-      clear_(arena_, obj_off);
-    }
-  }
   return obj_off;
 }
 
@@ -268,6 +250,12 @@ void Allocator::commit(ObjType t, uint64_t obj_off) {
   const uint32_t idx = st.geom.index_of(obj_off);
   Stripe& s = stripe_for(st, c_off);
   common::MutexLock lk(s.mu);
+  ChunkState* found = find_locked(st, s, c_off);
+  assert(found != nullptr);
+  ChunkState& cs = *found;
+  cs.shadow |= (uint64_t{1} << idx);
+  cs.reserved &= ~(uint64_t{1} << idx);
+  if (!has_persistent_bit(t)) return;
   auto* c = chunk_ptr(c_off);
   // The header *store* is immediate either way — lock-free bit_probe
   // readers must see committed bits; only the persist may be deferred.
@@ -275,11 +263,6 @@ void Allocator::commit(ObjType t, uint64_t obj_off) {
       .store(ChunkHdr::with_bit(c->header, idx, true),
              std::memory_order_release);
   arena_.trace_store(&c->header, sizeof(c->header));
-  ChunkState* found = find_locked(st, s, c_off);
-  assert(found != nullptr);
-  ChunkState& cs = *found;
-  cs.shadow |= (uint64_t{1} << idx);
-  cs.reserved &= ~(uint64_t{1} << idx);
   if (batched_) {
     mark_dirty_locked(s, c_off, cs);
   } else {
@@ -301,37 +284,37 @@ void Allocator::release(ObjType t, uint64_t obj_off) {
   make_available_locked(s, c_off, *cs);
 }
 
-bool Allocator::free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
-                                 bool retire) {
+bool Allocator::free_slot_locked(TypeState& st, Stripe& s, ObjType t,
+                                 uint64_t obj_off, bool retire) {
   ep_counters().free_obj.inc();
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
-  auto* c = chunk_ptr(c_off);
-  assert((ChunkHdr::bitmap(c->header) >> idx) & 1);
-  std::atomic_ref<uint64_t>(c->header)
-      .store(ChunkHdr::with_bit(c->header, idx, false),
-             std::memory_order_release);
-  arena_.trace_store(&c->header, sizeof(c->header));
   ChunkState* found = find_locked(st, s, c_off);
   assert(found != nullptr);
   ChunkState& cs = *found;
+  assert((cs.shadow >> idx) & 1);
   cs.shadow &= ~(uint64_t{1} << idx);
+  if (has_persistent_bit(t)) {
+    // Eager in both schedules: the caller may hand this leaf's value (and
+    // the slot itself) to another owner as soon as we return, which is
+    // safe only once the cleared bit is durable. The persist covers the
+    // whole word, so deferred commits of this chunk are durable too.
+    auto* c = chunk_ptr(c_off);
+    std::atomic_ref<uint64_t>(c->header)
+        .store(ChunkHdr::with_bit(c->header, idx, false),
+               std::memory_order_release);
+    arena_.trace_store(&c->header, sizeof(c->header));
+    arena_.persist(&c->header, sizeof(c->header));
+    ep_counters().pm_meta_persists.inc();
+    cs.dirty = false;  // a stale dirty_chunks entry is skipped at flush
+  }
   if (retire) {
     // No make_available: the retired bit keeps reserve() away until
     // release_retired() runs after the EBR grace period.
     cs.retired |= (uint64_t{1} << idx);
-  }
-  if (batched_) {
-    // The slot is not reusable until the cleared header is durable: if a
-    // new object moved in first and we crashed, the stale set bit would
-    // resurrect a half-overwritten slot. flush_metadata lifts the block.
-    cs.pending |= (uint64_t{1} << idx);
-    mark_dirty_locked(s, c_off, cs);
   } else {
-    arena_.persist(&c->header, sizeof(c->header));
-    ep_counters().pm_meta_persists.inc();
+    make_available_locked(s, c_off, cs);
   }
-  if (!retire) make_available_locked(s, c_off, cs);
   return cs.empty();
 }
 
@@ -339,53 +322,14 @@ bool Allocator::free_object(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   Stripe& s = stripe_for(st, st.geom.chunk_of(obj_off));
   common::MutexLock lk(s.mu);
-  return free_slot_locked(st, s, obj_off, /*retire=*/false);
+  return free_slot_locked(st, s, t, obj_off, /*retire=*/false);
 }
 
 void Allocator::free_object_retired(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   Stripe& s = stripe_for(st, st.geom.chunk_of(obj_off));
   common::MutexLock lk(s.mu);
-  free_slot_locked(st, s, obj_off, /*retire=*/true);
-}
-
-Allocator::Emptied Allocator::free_leaf_with_value(uint64_t leaf_off,
-                                                   ObjType vcls,
-                                                   uint64_t val_off) {
-  TypeState& leaf_st = ts(ObjType::kLeaf);
-  // Holding the freed leaf's *stripe* mutex throughout blocks exactly the
-  // reservations that could race the stale-value probe against this clear
-  // (a slot can only be re-reserved under its own stripe's mutex).
-  Stripe& ls = stripe_for(leaf_st, leaf_st.geom.chunk_of(leaf_off));
-  common::MutexLock lk(ls.mu);
-  Emptied e;
-  e.leaf = free_slot_locked(leaf_st, ls, leaf_off, /*retire=*/false);
-  {
-    TypeState& val_st = ts(vcls);
-    Stripe& vs = stripe_for(val_st, val_st.geom.chunk_of(val_off));
-    common::MutexLock vlk(vs.mu);
-    e.value = free_slot_locked(val_st, vs, val_off, /*retire=*/false);
-  }
-  clear_(arena_, leaf_off);
-  return e;
-}
-
-void Allocator::free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
-                                             uint64_t val_off) {
-  TypeState& leaf_st = ts(ObjType::kLeaf);
-  Stripe& ls = stripe_for(leaf_st, leaf_st.geom.chunk_of(leaf_off));
-  common::MutexLock lk(ls.mu);
-  free_slot_locked(leaf_st, ls, leaf_off, /*retire=*/true);
-  {
-    TypeState& val_st = ts(vcls);
-    Stripe& vs = stripe_for(val_st, val_st.geom.chunk_of(val_off));
-    common::MutexLock vlk(vs.mu);
-    free_slot_locked(val_st, vs, val_off, /*retire=*/true);
-  }
-  // Clear the leaf's dangling value pointer; optimistic readers treat
-  // p_value == 0 as "deleted", and the slot cannot be re-reserved until
-  // release_retired() (and, in batched mode, the next flush_metadata).
-  clear_(arena_, leaf_off);
+  free_slot_locked(st, s, t, obj_off, /*retire=*/true);
 }
 
 void Allocator::release_retired(ObjType t, uint64_t obj_off) {
@@ -428,8 +372,8 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   if (found == nullptr) return;  // already recycled
   ChunkState& cs = *found;
   // Algorithm 6 lines 1-2: only an entirely empty chunk is recycled.
-  // Retired and pending-free slots count as occupied. The caller saw the
-  // chunk empty, but another thread may have reserved in it since.
+  // Retired slots count as occupied. The caller saw the chunk empty, but
+  // another thread may have reserved in it since.
   if (!cs.empty()) return;
   auto* c = chunk_ptr(c_off);
   assert(ChunkHdr::bitmap(c->header) == 0);
@@ -496,11 +440,7 @@ void Allocator::flush_metadata(uint64_t /*epoch*/) {
                        sizeof(chunk_ptr(c_off)->header));
         ep_counters().pm_meta_persists.inc();
         any = true;
-        ChunkState& cs = *found;
-        cs.dirty = false;
-        cs.pending = 0;  // cleared bits are durable: slots reusable
-        if ((cs.shadow | cs.reserved | cs.retired) != kBitmapMask)
-          make_available_locked(s, c_off, cs);
+        found->dirty = false;
       }
       s.dirty_chunks.clear();
     }
@@ -567,15 +507,34 @@ void Allocator::recover_structure() {
       Stripe& s = stripe_for(st, off);
       common::MutexLock lk(s.mu);
       ChunkState& cs = add_chunk_locked(st, s, off);
-      // DRAM shadows rebuild straight from the durable PM headers; the
-      // caller's recovery repairs then go through the normal commit/free
-      // paths, which keep the shadows in sync.
-      cs.shadow = ChunkHdr::bitmap(c->header);
+      // Leaf shadows rebuild straight from the durable PM headers. Value
+      // shadows start empty; the caller's leaf walk fills them
+      // (mark_live), and a value chunk stays available meanwhile.
+      const auto t = static_cast<ObjType>(ti);
+      if (has_persistent_bit(t)) cs.shadow = ChunkHdr::bitmap(c->header);
       if (cs.shadow != kBitmapMask) make_available_locked(s, off, cs);
       prev = off;
       off = c->pnext;
     }
   }
+}
+
+void Allocator::mark_live(ObjType t, uint64_t obj_off) {
+  TypeState& st = ts(t);
+  const uint64_t c_off = st.geom.chunk_of(obj_off);
+  const uint32_t idx = st.geom.index_of(obj_off);
+  Stripe& s = stripe_for(st, c_off);
+  common::MutexLock lk(s.mu);
+  ChunkState* cs = find_locked(st, s, c_off);
+  if (cs == nullptr || idx >= kObjectsPerChunk ||
+      st.geom.object_off(c_off, idx) != obj_off)
+    throw std::runtime_error("epalloc: live reference " +
+                             std::to_string(obj_off) +
+                             " is not an object of its type's chunk list");
+  if ((cs->shadow >> idx) & 1)
+    throw std::runtime_error("epalloc: object " + std::to_string(obj_off) +
+                             " referenced twice");
+  cs->shadow |= uint64_t{1} << idx;
 }
 
 void Allocator::for_each_live(ObjType t,

@@ -6,15 +6,21 @@
 // single 8-byte header word (bitmap + hint + full indicator) is updated
 // failure-atomically. Chunks of each type form a singly linked persistent
 // list rooted in EPRoot, which is both the recovery index (Algorithm 7
-// walks the leaf list) and the leak-prevention device: an object's bit is
-// set only *after* the object is fully linked into the index, so a crash
-// in between leaves the slot free. The recycle micro-log lives in EPRoot
-// too (micrologs.h).
+// walks the leaf list) and the leak-prevention device. The recycle
+// micro-log lives in EPRoot too (micrologs.h).
+//
+// Only leaves carry a persistent bit (has_persistent_bit()): a leaf's bit
+// is set only *after* the leaf is fully written and linked into the index,
+// so a crash in between leaves the slot free. Value objects have none
+// (DESIGN.md §1, correction 1): a value is live exactly when a live leaf's
+// value word names it, so its occupancy lives in the DRAM shadow alone,
+// and recovery re-derives it from the leaves (mark_live). A value chunk's
+// header word stays zero.
 //
 // Two-phase allocation: reserve() returns a *reserved* object (volatile
 // reservation, so concurrent writers on different ARTs never collide), and
-// commit() sets the persistent bit. Reservations evaporate at a crash —
-// which is exactly the paper's leak-freedom argument.
+// commit() marks it used. Reservations evaporate at a crash — which is
+// exactly the paper's leak-freedom argument.
 //
 // Volatile side and persist schedule:
 //
@@ -34,31 +40,31 @@
 //    chunk list, so Algorithm 6 unlinks a chunk without walking the list,
 //    and the free paths report whether a chunk became empty, so the
 //    recycle (and its locks) runs only for chunks that did.
-//  * DRAM shadow bitmaps. Every chunk's occupancy bitmap is mirrored in
-//    its ChunkState (`shadow`), kept exactly equal to the PM header word
-//    — header *stores* remain immediate 8-byte atomic stores so lock-free
-//    bit_probe readers are unaffected — and all allocation decisions read
-//    the shadow, never PM.
-//  * Batched metadata persistence (AllocOptions::batched_meta). Chunk-
-//    header persists are deferred: mutated headers are marked dirty and
+//  * DRAM shadow bitmaps. Every chunk's occupancy bitmap lives in its
+//    ChunkState (`shadow`). For leaf chunks it is kept exactly equal to
+//    the PM header word — header *stores* remain immediate 8-byte atomic
+//    stores so lock-free bit_probe readers are unaffected; for value
+//    chunks it is the only record. All allocation decisions read the
+//    shadow, never PM.
+//  * Batched metadata persistence (AllocOptions::batched_meta). A leaf
+//    commit's header persist is deferred: the header is marked dirty and
 //    flushed by flush_metadata(), which Hart::flush_epoch() invokes just
 //    before the epoch stamp persists — the group-commit fence the service
-//    already pays. Freed slots stay `pending` (not reusable) until their
-//    cleared header is durable; otherwise a crash could resurrect a
-//    half-overwritten slot under a stale set bit. Chunk-list links, the
-//    recycle log and object payloads keep their eager persist schedule —
-//    only the per-op bitmap flush is batched away.
+//    already pays. A leaf free persists its header eagerly in either
+//    schedule, so a freed slot (and the value its leaf named) is reusable
+//    at once: the change that unreferenced it is already durable.
+//    Chunk-list links, the recycle log and object payloads keep their
+//    eager persist schedule too.
 //
 // With stripes = 1 and eager metadata persists this is the paper's
-// single-instance EPallocator: every bitmap mutation persists its chunk
-// header inline (2.0 metadata persists per insert).
+// single-instance EPallocator minus the value bits: one metadata persist
+// per insert and per delete, none per update.
 //
-// Crash model in batched mode: commits/frees since the last fence may not
-// be durable — identical to losing the unacked tail of a group-commit
-// batch, which the service already tolerates. Each header is one atomic
-// 8-byte word, so recovery always sees a consistent (possibly slightly
-// stale) bitmap and the standard Algorithm 7 walk + stale-value probe
-// reclaim anything orphaned.
+// Crash model in batched mode: inserts since the last fence may not be
+// durable — identical to losing the unacked tail of a group-commit batch,
+// which the service already tolerates. Each header is one atomic 8-byte
+// word, so recovery always sees a consistent (possibly slightly stale)
+// leaf bitmap, and every leaf it sees live names a durable value.
 #pragma once
 
 #include <atomic>
@@ -75,17 +81,6 @@
 
 namespace hart::epalloc {
 
-/// Result of probing a free leaf slot for a dangling committed value left
-/// by a prior incomplete insertion or deletion (Algorithm 2, lines 12-16).
-struct LeafValueRef {
-  uint64_t value_off = 0;  // 0 = no dangling value
-  ObjType cls = ObjType::kValue8;
-};
-/// Reads the (stale) leaf at `leaf_off` and reports its value reference.
-using LeafProbeFn = LeafValueRef (*)(const pmem::Arena&, uint64_t leaf_off);
-/// Clears the stale leaf's value pointer (object.p_value = NULL).
-using LeafClearFn = void (*)(pmem::Arena&, uint64_t leaf_off);
-
 /// Allocator construction knobs (part of Hart::Options and hartd::Config).
 struct AllocOptions {
   /// Hard ceiling on the stripe count (a modeled system has at most a few
@@ -94,8 +89,8 @@ struct AllocOptions {
   /// Number of stripes (modeled DIMMs). 0 = auto: min(hw threads, 8),
   /// at least 1.
   uint32_t stripes = 0;
-  /// Defer chunk-header persists to flush_metadata() (the service sets this;
-  /// raw Hart embedders default to eager per-op durability).
+  /// Defer leaf-commit header persists to flush_metadata() (the service
+  /// sets this; raw Hart embedders default to eager per-op durability).
   bool batched_meta = false;
 };
 
@@ -104,55 +99,42 @@ class Allocator {
   /// `root` must live in the arena header (persistent). On a fresh arena it
   /// must be zero; on reopen call recover_structure() before any use.
   Allocator(pmem::Arena& arena, EPRoot* root, uint32_t leaf_obj_size,
-            LeafProbeFn probe, LeafClearFn clear,
             const AllocOptions& opts = {});
   ~Allocator();
 
   Allocator(const Allocator&) = delete;
   Allocator& operator=(const Allocator&) = delete;
 
-  /// Algorithm 2. On kOk, *obj_off holds a reserved object's arena offset.
-  /// The persistent bit is not yet set; call commit() once the object is
-  /// reachable from the index, or release() to abort. kOutOfMemory when the
-  /// arena cannot fit another chunk (nothing is reserved).
+  /// Algorithm 2, lines 1-11. On kOk, *obj_off holds a reserved object's
+  /// arena offset. It is not yet marked used; call commit() once the
+  /// object is reachable from the index, or release() to abort.
+  /// kOutOfMemory when the arena cannot fit another chunk (nothing is
+  /// reserved).
   common::Status reserve(ObjType t, uint64_t* obj_off);
 
-  /// Set the object's bitmap bit (e.g. Alg. 1 lines 14/18). The header
-  /// store is immediate (lock-free readers see it via bit_probe); the
-  /// *persist* is inline, or deferred to flush_metadata() in batched mode.
+  /// Mark the object used (e.g. Alg. 1 lines 14/18). For a leaf, set its
+  /// header bit: the store is immediate (lock-free readers see it via
+  /// bit_probe); the *persist* is inline, or deferred to flush_metadata()
+  /// in batched mode. For a value, only the DRAM shadow changes.
   void commit(ObjType t, uint64_t obj_off);
 
   /// Drop a reservation without committing (abort path; no crash involved).
   void release(ObjType t, uint64_t obj_off);
 
-  /// Reset the object's bitmap bit (deletion / update paths). Does not
-  /// recycle; returns true when the chunk became empty, and only then does
-  /// the caller need recycle_chunk_of() (Alg. 5/6).
+  /// Mark the object free (deletion / update paths). A leaf's cleared
+  /// header bit persists before this returns, in either schedule; a
+  /// value's slot is only a DRAM shadow bit, so the caller must already
+  /// have made durable whatever stopped referencing it. The slot is
+  /// reusable at once. Does not recycle; returns true when the chunk
+  /// became empty, and only then does the caller need recycle_chunk_of()
+  /// (Alg. 5/6).
   bool free_object(ObjType t, uint64_t obj_off);
 
-  /// Which chunks free_leaf_with_value() left empty.
-  struct Emptied {
-    bool leaf = false;
-    bool value = false;
-  };
-  /// Deletion path (Alg. 5 lines 11-12 plus the p_value clear deviation,
-  /// see DESIGN.md): atomically — with respect to leaf reservations —
-  /// reset the leaf bit, reset the value bit, and clear the leaf's value
-  /// pointer.
-  Emptied free_leaf_with_value(uint64_t leaf_off, ObjType vcls,
-                               uint64_t val_off);
-
   // ---- EBR-deferred reuse ---------------------------------------------
-  // The *_retired variants reset the persistent bit but also set a volatile
-  // `retired` bit that keeps reserve() from handing the slot out again
-  // until release_retired() runs after the reader grace period.
-
-  /// free_object(), minus making the slot reusable.
+  /// free_object(), plus a volatile `retired` bit that keeps reserve()
+  /// from handing the slot out again until release_retired() runs after
+  /// the reader grace period.
   void free_object_retired(ObjType t, uint64_t obj_off);
-
-  /// free_leaf_with_value(), minus making either slot reusable.
-  void free_leaf_with_value_retired(uint64_t leaf_off, ObjType vcls,
-                                    uint64_t val_off);
 
   /// Grace period over: allow reuse, and run the deferred EPRecycle if the
   /// chunk is now empty. Tolerates a chunk that no longer exists (freed
@@ -160,15 +142,17 @@ class Allocator {
   void release_retired(ObjType t, uint64_t obj_off);
 
   /// EPRecycle(MemChunkOf(obj)) — Algorithm 6. Unlinks and frees the chunk
-  /// if it contains no used (or reserved, retired, pending) object. The
+  /// if it contains no used (or reserved, or retired) object. The
   /// predecessor comes from the volatile links: O(1), no list walk.
   void recycle_chunk_of(ObjType t, uint64_t obj_off);
 
+  /// Whether the object is marked used (the DRAM shadow; no PM read).
   [[nodiscard]] bool bit_is_set(ObjType t, uint64_t obj_off) const;
 
-  /// Lock-free read of an object's persistent bit, for concurrent readers
+  /// Lock-free read of a leaf's persistent bit, for concurrent readers
   /// (HART search validates the leaf bit, Algorithm 4 line 9). Header words
-  /// are updated with atomic 8-byte stores, so this is race-free.
+  /// are updated with atomic 8-byte stores, so this is race-free. Value
+  /// chunks have no header bits.
   [[nodiscard]] bool bit_probe(ObjType t, uint64_t obj_off) const {
     const TypeGeometry& g = geom(t);
     auto* c = chunk_ptr(g.chunk_of(obj_off));
@@ -182,8 +166,8 @@ class Allocator {
   }
 
   // ---- batched metadata persistence -----------------------------------
-  /// Persist every deferred chunk-header word and unblock pending-free
-  /// slots. The service calls this once per group-commit batch, inside
+  /// Persist every deferred chunk-header word. The service calls this
+  /// once per group-commit batch, inside
   /// Hart::flush_epoch() before the epoch stamp persists; `epoch` is the
   /// epoch being made durable (informational). No-op in eager mode.
   void flush_metadata(uint64_t epoch);
@@ -197,12 +181,21 @@ class Allocator {
   // ---- recovery -------------------------------------------------------
   /// Structural recovery: finish or roll back the recycle log, rebuild the
   /// arena allocation map from the reachable chunk lists (leak freedom by
-  /// construction), and rebuild all volatile state — the DRAM bitmap
-  /// shadows from the PM headers, the predecessor links from the lists.
-  /// The caller then rebuilds its DRAM structures (Algorithm 7).
+  /// construction), and rebuild all volatile state — the leaf shadows from
+  /// the PM headers, the predecessor links from the lists. Every value
+  /// slot starts free. The caller then walks the live leaves, hands each
+  /// one's value to mark_live() and rebuilds its DRAM structures
+  /// (Algorithm 7).
   void recover_structure();
 
-  /// Invoke `f(obj_off)` for every object whose bit is set, in list order.
+  /// Recovery: record a value that a live leaf names as used (DRAM only).
+  /// Safe to call from several recovery threads. Throws std::runtime_error
+  /// when `obj_off` is not an object of a chunk in t's list, or is marked
+  /// already — a corrupt image, which verify_hart_image reports.
+  void mark_live(ObjType t, uint64_t obj_off);
+
+  /// Invoke `f(obj_off)` for every object whose persistent bit is set, in
+  /// list order. Only leaves have persistent bits (has_persistent_bit()).
   void for_each_live(ObjType t, const std::function<void(uint64_t)>& f) const;
 
   /// Snapshot of the chunk offsets of one list (parallel recovery shards
@@ -217,20 +210,18 @@ class Allocator {
   }
 
  private:
-  /// Volatile state of one chunk: 40 bytes per table slot.
+  /// Volatile state of one chunk: 32 bytes per table slot.
   struct ChunkState {
-    uint64_t shadow = 0;    // DRAM mirror of the PM header's bitmap
+    uint64_t shadow = 0;    // used objects (leaves: mirrors the PM header)
     uint64_t reserved = 0;  // volatile reservation bitmap
     uint64_t retired = 0;   // volatile: freed, awaiting EBR grace period
-    uint64_t pending = 0;   // freed, but the cleared header is not yet
-                            // durable; blocks reuse until flush_metadata
     bool live = false;      // the slot holds a linked chunk
     bool dirty = false;     // header persist deferred to flush_metadata
     bool in_avail = false;
 
-    /// Nothing used, reserved, retired or pending: recyclable.
+    /// Nothing used, reserved or retired: recyclable.
     [[nodiscard]] bool empty() const {
-      return (shadow | reserved | retired | pending) == 0;
+      return (shadow | reserved | retired) == 0;
     }
   };
   struct Stripe {
@@ -297,8 +288,8 @@ class Allocator {
   uint64_t new_chunk_list_locked(TypeState& st, ObjType t)
       REQUIRES(st.head_mu);
   /// Returns true when the chunk became empty.
-  bool free_slot_locked(TypeState& st, Stripe& s, uint64_t obj_off,
-                        bool retire) REQUIRES(s.mu);
+  bool free_slot_locked(TypeState& st, Stripe& s, ObjType t,
+                        uint64_t obj_off, bool retire) REQUIRES(s.mu);
   void make_available_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
       REQUIRES(s.mu);
   void mark_dirty_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
@@ -309,8 +300,6 @@ class Allocator {
 
   pmem::Arena& arena_;
   EPRoot* root_;
-  LeafProbeFn probe_;
-  LeafClearFn clear_;
   const uint32_t nstripes_;
   const bool batched_;
   TypeState types_[kNumObjTypes];

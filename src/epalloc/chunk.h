@@ -44,6 +44,10 @@ inline ObjType value_class_for_len(size_t len) {
 inline uint32_t value_class_size(ObjType t) {
   return uint32_t{8} << (static_cast<uint8_t>(t) - 1);
 }
+/// Whether objects of type `t` keep their used bit in the PM chunk header.
+/// Only leaves do: a value is live exactly when a live leaf names it, so
+/// value chunks keep occupancy in DRAM and their header word stays zero.
+constexpr bool has_persistent_bit(ObjType t) { return t == ObjType::kLeaf; }
 
 inline constexpr uint64_t kBitmapMask = (uint64_t{1} << kObjectsPerChunk) - 1;
 

@@ -3,8 +3,8 @@
 //
 // Deviation from the paper, documented in DESIGN.md §1: there is no
 // update log (Algorithm 3). HART commits an update with one store to the
-// leaf's packed value word, and recovery repairs both states a crash can
-// leave (a re-commit of a referenced value, a sweep of unreferenced ones).
+// leaf's packed value word, and values have no persistent bit, so a crash
+// on either side of that store leaves nothing to repair.
 #pragma once
 
 #include <cstdint>

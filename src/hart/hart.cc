@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/annotations.h"
@@ -81,8 +80,7 @@ Hart::Hart(pmem::Arena& arena, Options opts)
     : arena_(arena),
       opts_(resolve_options(arena, opts)),
       root_(arena.root<HartRoot>()),
-      ep_(arena, &root_->ep, sizeof(HartLeaf), &hart_leaf_probe,
-          &hart_leaf_clear, opts_.alloc),
+      ep_(arena, &root_->ep, sizeof(HartLeaf), opts_.alloc),
       dir_(opts_.hash_buckets,
            HartLeafTraits{opts_.hash_key_len, &arena},
            &dram_bytes_,
@@ -162,10 +160,7 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, its length,
   // the fingerprint and the value word (p_value = &value with its length
   // and class) go into the leaf, then one persistent() covers the whole
-  // leaf. The leaf bit is still clear, so the key bytes mean nothing yet;
-  // what matters is that the value word is durable *before* the value bit
-  // — the stale-value probe and the verifier interpret the offset through
-  // the class it carries.
+  // leaf. The leaf bit is still clear, so none of it means anything yet.
   auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
   std::memcpy(leaf->key, key.data(), key.size());
   leaf->key_len = static_cast<uint8_t>(key.size());
@@ -177,7 +172,10 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
                      sizeof(HartLeaf) - offsetof(HartLeaf, key_len));
   arena_.persist(leaf, sizeof(HartLeaf));
 
-  // Line 14: set + persist the value bit.
+  // Line 14, without its persist: the value has no persistent bit. It is
+  // live once the leaf bit below is durable, and recovery derives that
+  // from the leaf (DESIGN.md §1, correction 1); this marks the slot used
+  // in the allocator's DRAM shadow.
   ep_.commit(vcls, val_off);
 
   // Line 17: Insert2Tree — DRAM only, no persistence needed (selective
@@ -187,7 +185,8 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   // tree is what makes the plain stores above visible to lock-free readers.
   part->tree.insert(akey, leaf);
 
-  // Line 18: set + persist the leaf bit — the commit point.
+  // Line 18: set + persist the leaf bit — the commit point. The value and
+  // the leaf that names it are both durable already.
   ep_.commit(epalloc::ObjType::kLeaf, leaf_off);
   count_.fetch_add(1, std::memory_order_relaxed);
   return common::Status::kInserted;
@@ -211,29 +210,25 @@ common::Status Hart::update_locked(HartLeaf* leaf, std::string_view value) {
   arena_.trace_store(vp, value_object_size(new_cls));
   arena_.persist(vp, value_object_size(new_cls));
 
-  // Line 7: set the bit for the new value. A crash from here to the swing
-  // below leaves it committed and unreferenced; recovery's orphan sweep
-  // frees it. Lines 2-3, 6 and 11 (the update log) are omitted: recovery
-  // repairs every state a crash can leave without them.
+  // Line 7, in DRAM only: the new value has no persistent bit, so a crash
+  // before the swing below leaves its slot free. Lines 2-3, 6 and 11 (the
+  // update log) are omitted: nothing is left for recovery to repair.
   ep_.commit(new_cls, new_off);
 
   // Line 8, the commit point: one release store swings the value word
   // (offset, length and class together), and one 8-byte persist makes it
   // durable. The release pairs with lock-free readers' acquire load and
-  // publishes the new value's bytes. With batched metadata the new value's
-  // bit may still be volatile here; recovery re-commits a referenced value
-  // whose bit it finds clear.
+  // publishes the new value's bytes.
   std::atomic_ref<uint64_t>(leaf->p_value)
       .store(ValueRef::pack(new_off, value.size(), new_cls),
              std::memory_order_release);
   arena_.trace_store(&leaf->p_value, sizeof(leaf->p_value));
   arena_.persist(&leaf->p_value, sizeof(leaf->p_value));
 
-  // Lines 9-10: release the old value, recycle its chunk if empty. A crash
-  // before the bit reset leaves the old value committed and unreferenced,
-  // which the orphan sweep frees. With lock-free readers the slot's
-  // *reuse* (and the chunk recycle) waits out the grace period; durability
-  // is identical — the bit reset persists now.
+  // Lines 9-10: release the old value, recycle its chunk if empty. No
+  // persist: the durable swing above already unreferenced it, so its slot
+  // may be reused at once. With lock-free readers the reuse (and the chunk
+  // recycle) waits out the grace period instead.
   if (optimistic()) {
     ep_.free_object_retired(old_cls, old_off);
     retire_slot(old_cls, old_off);
@@ -258,19 +253,8 @@ common::Status Hart::update(std::string_view key, std::string_view value) {
   return common::Status::kOk;
 }
 
-bool Hart::read_leaf_value_optimistic(const HartLeaf* leaf,
-                                      std::string* out) const {
-  // One acquire load yields a consistent (offset, length, class) triple
-  // and makes the value object's bytes visible. The slot cannot be reused
-  // before our epoch pin is released (EBR), and value objects are never
-  // mutated in place, so the copy below is race-free.
+void Hart::copy_value(const HartLeaf* leaf, std::string* out) const {
   const uint64_t w = load_value_ref(leaf);
-  if (w == 0) return false;  // deleted under us (Alg. 5's p_value clear)
-  copy_value(w, out);
-  return true;
-}
-
-void Hart::copy_value(uint64_t w, std::string* out) const {
   const char* vp = arena_.ptr<char>(ValueRef::off(w));
   arena_.pm_read(vp, value_object_size(ValueRef::cls(w)));
   if (out != nullptr) out->assign(vp, ValueRef::len(w));
@@ -294,9 +278,8 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
       // Line 9: validate the leaf bit in the chunk bitmap (lock-free).
       if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
         return common::Status::kNotFound;
-      return read_leaf_value_optimistic(r.leaf, out)
-                 ? common::Status::kOk
-                 : common::Status::kNotFound;
+      copy_value(r.leaf, out);
+      return common::Status::kOk;
     }
     read_fallback_counter().inc();
   }
@@ -306,7 +289,7 @@ common::Status Hart::search(std::string_view key, std::string* out) const {
   // Line 9: validate the leaf bit in the chunk bitmap.
   if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
     return common::Status::kNotFound;
-  copy_value(load_value_ref(leaf), out);
+  copy_value(leaf, out);
   return common::Status::kOk;
 }
 
@@ -326,31 +309,27 @@ common::Status Hart::remove(std::string_view key) {
   const uint64_t val_off = ValueRef::off(leaf->p_value);
   const epalloc::ObjType vcls = ValueRef::cls(leaf->p_value);
 
-  // Lines 11-12: reset the leaf bit, then the value bit. A crash in
-  // between leaves a dangling committed value that EPMalloc's stale-value
-  // check reclaims when the leaf slot is reused (Alg. 2 lines 12-16).
-  //
-  // Deviation from the paper's Algorithm 5 (documented in DESIGN.md): the
-  // freed leaf's p_value is additionally cleared once both bits are reset.
-  // Otherwise, after the freed value slot is re-allocated to another key,
-  // a reuse of this leaf slot would see p_value -> live value with its bit
-  // set and Alg. 2's stale-value check would reclaim the *new* owner's
-  // value. All three steps happen atomically w.r.t. leaf reservations.
+  // Line 11: reset the leaf bit. Its persist is the delete's only one and
+  // its commit point, eager in both metadata schedules. Line 12 (reset the
+  // value bit) then only updates the allocator's DRAM shadow: the value
+  // has no persistent bit, and once the leaf bit's clear is durable no
+  // live leaf names it, so its slot is reusable at once. The leaf keeps
+  // its value word; a free slot's word is never read (DESIGN.md §1,
+  // correction 1).
   //
   // Lock-free readers may still hold either slot, so in optimistic mode
-  // both frees are retired: the persistent bits reset now (the deletion is
-  // durable immediately), reuse and the chunk recycles wait out the grace
-  // period (release_retired runs them).
+  // both frees are retired: reuse and the chunk recycles wait out the
+  // grace period (release_retired runs them).
   if (optimistic()) {
-    ep_.free_leaf_with_value_retired(leaf_off, vcls, val_off);
+    ep_.free_object_retired(epalloc::ObjType::kLeaf, leaf_off);
+    ep_.free_object_retired(vcls, val_off);
     retire_slot(vcls, val_off);
     retire_slot(epalloc::ObjType::kLeaf, leaf_off);
   } else {
     // Lines 13-14: recycle the chunks that became empty.
-    const auto emptied = ep_.free_leaf_with_value(leaf_off, vcls, val_off);
-    if (emptied.value) ep_.recycle_chunk_of(vcls, val_off);
-    if (emptied.leaf)
+    if (ep_.free_object(epalloc::ObjType::kLeaf, leaf_off))
       ep_.recycle_chunk_of(epalloc::ObjType::kLeaf, leaf_off);
+    if (ep_.free_object(vcls, val_off)) ep_.recycle_chunk_of(vcls, val_off);
   }
 
   // Lines 15-16: free the ART if it became empty (internal nodes were
@@ -370,7 +349,7 @@ size_t Hart::range(
     if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
       return true;
     std::string val;
-    copy_value(load_value_ref(leaf), &val);
+    copy_value(leaf, &val);
     out->emplace_back(std::string(leaf->key, leaf->key_len), std::move(val));
     return out->size() < limit;
   };
@@ -403,8 +382,7 @@ size_t Hart::range(
         if (!ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
           return true;
         std::string val;
-        if (!read_leaf_value_optimistic(leaf, &val))
-          return true;  // deleted under us
+        copy_value(leaf, &val);
         staging.emplace_back(std::string(leaf->key, leaf->key_len),
                              std::move(val));
         return out->size() + staging.size() < limit;
@@ -448,9 +426,9 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       const auto r = part->tree.search_optimistic(akey);
       if (r.ok) {
         if (r.leaf == nullptr ||
-            !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)) ||
-            !read_leaf_value_optimistic(r.leaf, &(*out)[i]))
+            !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(r.leaf)))
           continue;
+        copy_value(r.leaf, &(*out)[i]);
         (*found)[i] = true;
         ++hits;
         continue;
@@ -461,7 +439,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       if (leaf == nullptr ||
           !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
-      copy_value(load_value_ref(leaf), &(*out)[i]);
+      copy_value(leaf, &(*out)[i]);
       (*found)[i] = true;
       ++hits;
     }
@@ -484,7 +462,7 @@ size_t Hart::multi_get(const std::vector<std::string>& keys,
       if (leaf == nullptr ||
           !ep_.bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
         continue;
-      copy_value(load_value_ref(leaf), &(*out)[i]);
+      copy_value(leaf, &(*out)[i]);
       (*found)[i] = true;
       ++hits;
     }
@@ -499,9 +477,9 @@ uint64_t Hart::flush_epoch() {
   // before returning; this is the amortized final fence).
   obs::TraceSpan span("epoch_fence", obs::TraceKind::kFence);
   const uint64_t e = epoch_.load(std::memory_order_relaxed) + 1;
-  // Batched allocator metadata rides this fence: every deferred chunk-
-  // header persist must be durable before the epoch stamp that declares
-  // the batch committed (no-op for eager allocators).
+  // Batched allocator metadata rides this fence: every deferred leaf-bit
+  // persist must be durable before the epoch stamp that declares the
+  // batch committed (no-op for eager allocators).
   ep_.flush_metadata(e);
   root_->epoch = e;
   arena_.trace_store(&root_->epoch, sizeof(root_->epoch));
@@ -573,39 +551,22 @@ void Hart::recover(unsigned threads) {
   epoch_.store(root_->epoch, std::memory_order_relaxed);
   ep_.recover_structure();
 
-  static obs::Counter& completed_deletes = obs::Registry::instance().counter(
-      "hart_recover_completed_deletes_total");
-  static obs::Counter& recommitted_values = obs::Registry::instance().counter(
-      "hart_recover_recommitted_values_total");
-
   const HartLeafTraits traits{opts_.hash_key_len, &arena_};
   auto insert_leaf = [&](uint64_t leaf_off) {
     // Rebuild inserts can replace (and thus retire) freshly built nodes in
     // optimistic mode, so each recovery worker pins like any other writer.
     common::ebr::Guard ebr_pin(common::ebr::Domain::instance());
     auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
-    // Batched-metadata crash repairs. With eager header persists neither
-    // state can arise, but when header persists batch onto the epoch
-    // fence, a crash between a durable step and its deferred header flush
-    // leaves exactly these two torn shapes:
+    // The value a live leaf names is live, and no other is: value objects
+    // have no persistent bit (DESIGN.md §1, correction 1). Every live leaf
+    // names a durable value in either metadata schedule, because the leaf
+    // bit is set only after the value and the leaf persisted.
     const uint64_t w = leaf->p_value;
-    if (w == 0) {
-      // An in-flight delete: the leaf's p_value clear persisted (it is
-      // eager) but the header bit clears were still deferred. Complete the
-      // delete — the slot is free, nothing references the value (the value
-      // side, if still committed, is swept as an orphan below).
-      completed_deletes.inc();
-      ep_.free_object(epalloc::ObjType::kLeaf, leaf_off);
-      return;
-    }
-    if (!ep_.bit_is_set(ValueRef::cls(w), ValueRef::off(w))) {
-      // An in-flight insert/update that reached its leaf-side commit point
-      // but whose value-bit persist was still deferred: the value bytes
-      // are durable (they persist eagerly, before the leaf commit), so
-      // re-committing the bit finishes the operation.
-      recommitted_values.inc();
-      ep_.commit(ValueRef::cls(w), ValueRef::off(w));
-    }
+    if (ValueRef::class_tag(w) + 1 >= epalloc::kNumObjTypes)
+      throw std::runtime_error("HART recovery: leaf " +
+                               std::to_string(leaf_off) +
+                               " has a bad value class");
+    ep_.mark_live(ValueRef::cls(w), ValueRef::off(w));
     // Fingerprint fix-up: the DRAM-side tag is re-derived from the key
     // bytes by tree.insert below; the persisted copy is repaired here when
     // a legacy image (key_fp == 0) or corruption disagrees. Each leaf is
@@ -658,80 +619,6 @@ void Hart::recover(unsigned threads) {
     for (auto& th : pool) th.join();
   }
   recovered.add(count_.load(std::memory_order_relaxed));
-
-  sweep_orphaned_values();
-  // Every repair above must be durable before recovery is declared done —
-  // a crash right after recover() must not resurrect the repaired states.
-  ep_.flush_metadata(root_->epoch);
-}
-
-// Reachability sweep over the leaf slots and value lists.
-//
-// Free leaf slots first. A free slot whose p_value names a committed value
-// that no live leaf owns is the pending-reclamation state the stale-value
-// probe reclaims lazily on slot reuse (Alg. 2 lines 12-16); eager-schedule
-// images rely on it, so it is kept. Any other non-zero p_value in a free
-// slot is stale and is cleared: an insert that crashed after its leaf
-// flush but before its value bit leaves p_value naming a value slot that
-// recovery treats as free. Once that slot is re-allocated and committed
-// to another key, reusing the leaf slot would make the probe reclaim the
-// other key's live value.
-//
-// Then the values: a crash can leave a committed value referenced by no
-// leaf slot at all. A log-free update leaves one in either schedule — the
-// new value between its bit and the value-word swing, or the old value
-// between the swing and its bit reset — and with batched metadata a delete
-// whose value-bit clear was deferred while the (eager) p_value clear
-// persisted leaves one too. Free those.
-void Hart::sweep_orphaned_values() {
-  static obs::Counter& orphans_freed = obs::Registry::instance().counter(
-      "hart_recover_orphan_values_total");
-  static obs::Counter& stale_refs_cleared = obs::Registry::instance().counter(
-      "hart_recover_stale_refs_cleared_total");
-  std::unordered_set<uint64_t> referenced;
-  std::vector<uint64_t> free_refs;  // free leaf slots with a p_value
-  const auto& lg = ep_.geom(epalloc::ObjType::kLeaf);
-  for (const uint64_t c_off :
-       ep_.chunk_offsets(epalloc::ObjType::kLeaf)) {
-    const uint64_t live = epalloc::ChunkHdr::bitmap(
-        arena_.ptr<epalloc::MemChunk>(c_off)->header);
-    for (uint32_t i = 0; i < epalloc::kObjectsPerChunk; ++i) {
-      const uint64_t off = lg.object_off(c_off, i);
-      const uint64_t w = arena_.ptr<HartLeaf>(off)->p_value;
-      if (w == 0) continue;
-      if (((live >> i) & 1) != 0) {
-        referenced.insert(ValueRef::off(w));
-      } else {
-        free_refs.push_back(off);
-      }
-    }
-  }
-  for (const uint64_t off : free_refs) {
-    const uint64_t w = arena_.ptr<HartLeaf>(off)->p_value;
-    // The value word of a slot that never completed an insert may be
-    // garbage, so the class tag is range-checked before it is used.
-    const bool pending =
-        ValueRef::class_tag(w) + 1 < epalloc::kNumObjTypes &&
-        !referenced.contains(ValueRef::off(w)) &&
-        ep_.bit_is_set(ValueRef::cls(w), ValueRef::off(w));
-    if (pending) {
-      referenced.insert(ValueRef::off(w));
-      continue;
-    }
-    stale_refs_cleared.inc();
-    hart_leaf_clear(arena_, off);
-  }
-  for (int t = 1; t < epalloc::kNumObjTypes; ++t) {
-    const auto cls = static_cast<epalloc::ObjType>(t);
-    std::vector<uint64_t> orphans;
-    ep_.for_each_live(cls, [&](uint64_t off) {
-      if (!referenced.contains(off)) orphans.push_back(off);
-    });
-    for (const uint64_t off : orphans) {
-      orphans_freed.inc();
-      ep_.free_object(cls, off);
-    }
-  }
 }
 
 }  // namespace hart::core

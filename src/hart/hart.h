@@ -31,9 +31,11 @@ inline constexpr uint64_t kHartRootMagic = 0x48415254'524f4f54ULL;
 /// On-media format of a HART image, stamped in HartRoot::format. 0 is the
 /// update-log layout (three value fields in the leaf plus Algorithm 3's
 /// log slots in the root), written before the field existed; 1 is the
-/// log-free layout with the packed value word (ValueRef). An image of any
-/// other format is refused, not upgraded.
-inline constexpr uint32_t kHartFormatVersion = 1;
+/// log-free layout with the packed value word (ValueRef); 2 drops the
+/// value objects' persistent allocation bits (a value is live exactly when
+/// a live leaf names it). An image of any other format is refused, not
+/// upgraded.
+inline constexpr uint32_t kHartFormatVersion = 2;
 
 /// Persistent root of a HART instance, stored in the arena header. Contains
 /// everything needed to recover: the EPallocator chunk lists (the leaf list
@@ -89,8 +91,8 @@ class Hart final : public common::Index {
     /// flush); recovery rebuilds the DRAM tags from the key bytes. Off is
     /// the ablation baseline.
     bool fingerprints = true;
-    /// PM allocator knobs: stripe count, and whether chunk-header persists
-    /// batch onto the flush_epoch() fence. Bare Hart
+    /// PM allocator knobs: stripe count, and whether an insert's leaf-bit
+    /// persist batches onto the flush_epoch() fence. Bare Hart
     /// embedders default to eager metadata persists (per-op durability, as
     /// the crash tests require); the service turns batching on because its
     /// acks already wait for the epoch fence.
@@ -121,9 +123,11 @@ class Hart final : public common::Index {
   const char* name() const override { return "HART"; }
 
   // ---- HART-specific -----------------------------------------------------
-  /// Batched point lookups: groups the keys by hash partition and takes
-  /// each ART's read lock once, amortizing lock acquisition (an extension;
-  /// useful for the multi-get pattern of KV-store front ends).
+  /// Batched point lookups (an extension; useful for the multi-get pattern
+  /// of KV-store front ends). By default one epoch pin covers the batch
+  /// and each key takes the lock-free point-lookup path; with
+  /// Options::rwlock_reads the keys are grouped by hash partition so each
+  /// ART's read lock is taken once.
   /// `out[i]` is set to the value of `keys[i]`; returns the hit count.
   /// Misses leave `out[i]` empty with `found[i] == false`.
   size_t multi_get(const std::vector<std::string>& keys,
@@ -196,22 +200,16 @@ class Hart final : public common::Index {
   /// value cannot be allocated (the old value is untouched).
   common::Status update_locked(HartLeaf* leaf, std::string_view value)
       REQUIRES_EBR_PIN;
-  /// Clear stale value references left in free leaf slots, then free
-  /// committed values no leaf slot references (batched-metadata crash
-  /// repair). Runs after the leaf walk.
-  void sweep_orphaned_values();
 
   // ---- optimistic read path (ISSUE 5 tentpole) --------------------------
   /// True when the lock-free read path (and hence EBR deferral) is active.
   [[nodiscard]] bool optimistic() const { return !opts_.rwlock_reads; }
-  /// Reads the leaf's value from one acquire load of its value word.
-  /// Returns true (out filled), or false when the leaf is deleted
-  /// (p_value == 0).
-  bool read_leaf_value_optimistic(const HartLeaf* leaf,
-                                  std::string* out) const;
-  /// Copies the value named by value word `w` into *out (when non-null),
-  /// charging the PM read.
-  void copy_value(uint64_t w, std::string* out) const;
+  /// Copies the leaf's value into *out (when non-null), charging the PM
+  /// read. One acquire load of the value word yields a consistent
+  /// (offset, length, class) triple and makes the value's bytes visible;
+  /// a lock-free caller must be pinned, so neither the leaf nor the value
+  /// slot is reused under it.
+  void copy_value(const HartLeaf* leaf, std::string* out) const;
   /// Defer reuse of a freed PM slot until the reader grace period elapses.
   void retire_slot(epalloc::ObjType cls, uint64_t off) REQUIRES_EBR_PIN;
   static void retire_slot_cb(void* packed, void* self);

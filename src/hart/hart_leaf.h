@@ -5,7 +5,10 @@
 // though the ART path already encodes it. The value is out-of-leaf: the
 // leaf holds one 8-byte word naming a value object in one of the
 // EPallocator value size classes, which is what enables variable-size
-// values (Section III.A.5).
+// values (Section III.A.5). That word is also the only record that the
+// value is in use: value objects have no persistent allocation bit, and
+// recovery marks a value used exactly when a live leaf names it
+// (DESIGN.md §1, correction 1).
 #pragma once
 
 #include <algorithm>
@@ -15,7 +18,7 @@
 #include <cstdint>
 
 #include "common/index.h"
-#include "epalloc/allocator.h"
+#include "epalloc/chunk.h"
 #include "pmem/arena.h"
 
 namespace hart::core {
@@ -79,30 +82,6 @@ inline epalloc::ObjType value_class_for(size_t len) {
 inline uint64_t load_value_ref(const HartLeaf* l) {
   return std::atomic_ref<uint64_t>(const_cast<HartLeaf*>(l)->p_value)
       .load(std::memory_order_acquire);
-}
-
-/// EPallocator stale-value probe (Algorithm 2, lines 12-16): a free leaf
-/// slot handed out by EPMalloc may still reference a value committed by a
-/// prior incomplete insertion or deletion.
-inline epalloc::LeafValueRef hart_leaf_probe(
-    const pmem::Arena& arena, uint64_t leaf_off) {
-  const uint64_t w = arena.ptr<HartLeaf>(leaf_off)->p_value;
-  epalloc::LeafValueRef ref;
-  // A torn class tag cannot name a value (recovery clears such words).
-  if (ValueRef::class_tag(w) + 1 >= epalloc::kNumObjTypes) return ref;
-  ref.value_off = ValueRef::off(w);
-  ref.cls = ValueRef::cls(w);
-  return ref;
-}
-
-inline void hart_leaf_clear(pmem::Arena& arena, uint64_t leaf_off) {
-  auto* l = arena.ptr<HartLeaf>(leaf_off);
-  // Atomic store: an optimistic reader may race this clear; p_value == 0
-  // is its "leaf deleted" signal.
-  std::atomic_ref<uint64_t>(l->p_value)
-      .store(0, std::memory_order_release);  // p_value = NULL (Alg. 2 l.16)
-  arena.trace_store(&l->p_value, sizeof(l->p_value));
-  arena.persist(&l->p_value, sizeof(l->p_value));
 }
 
 }  // namespace hart::core

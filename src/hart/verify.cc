@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "epalloc/chunk.h"
 #include "epalloc/micrologs.h"
@@ -66,6 +67,9 @@ std::vector<uint64_t> walk_list(Ctx& ctx, epalloc::ObjType t, uint64_t head,
     const auto* c = ctx.arena.ptr<epalloc::MemChunk>(off);
 
     // V2: header internal consistency.
+    if (!epalloc::has_persistent_bit(t) && c->header != 0)
+      ctx.error("value chunk " + hex(off) + ": header " + hex(c->header) +
+                " is not zero");
     const uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
     const bool full = epalloc::ChunkHdr::full(c->header);
     if (full != (bm == epalloc::kBitmapMask))
@@ -88,8 +92,7 @@ std::vector<uint64_t> walk_list(Ctx& ctx, epalloc::ObjType t, uint64_t head,
 std::string VerifyReport::summary() const {
   std::ostringstream os;
   os << (ok() ? "OK" : "CORRUPT") << ": " << live_leaves << " leaves, "
-     << live_values << " values, " << chunks << " chunks, "
-     << pending_reclamations << " pending reclamations";
+     << live_values << " values, " << chunks << " chunks";
   size_t errors = 0, warnings = 0;
   for (const auto& i : issues)
     (i.severity == VerifyIssue::Severity::kError ? errors : warnings)++;
@@ -97,7 +100,7 @@ std::string VerifyReport::summary() const {
   return os.str();
 }
 
-VerifyReport verify_hart_image(const pmem::Arena& arena, ImageState state) {
+VerifyReport verify_hart_image(const pmem::Arena& arena) {
   VerifyReport report;
   Ctx ctx{arena, &report};
 
@@ -134,36 +137,40 @@ VerifyReport verify_hart_image(const pmem::Arena& arena, ImageState state) {
     for (const uint64_t c : chunks_of[t]) value_chunks[t].insert(c);
   }
 
-  auto value_bit = [&](int cls, uint64_t voff) -> int {
-    // -1: not a valid live-value reference; 0: bit clear; 1: bit set.
+  // Whether `voff` is an object slot of a chunk in class `cls`'s list.
+  auto is_value_slot = [&](int cls, uint64_t voff) {
     const auto& g = geoms[cls];
     const uint64_t c = g.chunk_of(voff);
-    if (!value_chunks[cls].count(c)) return -1;
-    const uint64_t idx = g.index_of(voff);
-    if (g.object_off(c, static_cast<uint32_t>(idx)) != voff) return -1;
-    const auto* mc = arena.ptr<epalloc::MemChunk>(c);
-    return static_cast<int>(
-        (epalloc::ChunkHdr::bitmap(mc->header) >> idx) & 1);
+    const uint32_t idx = g.index_of(voff);
+    return value_chunks[cls].count(c) != 0 &&
+           idx < epalloc::kObjectsPerChunk && g.object_off(c, idx) == voff;
   };
 
-  // V3/V4/V5: leaves and value references.
-  std::map<uint64_t, uint64_t> value_owner;  // value off -> leaf off
-  uint64_t referenced_values = 0;
+  // V3/V4/V5: live leaves, their keys and their value references.
+  std::map<uint64_t, uint64_t> value_owner;    // value off -> leaf off
+  std::map<std::string, uint64_t> key_owner;  // key -> leaf off
   for (const uint64_t c_off : chunks_of[0]) {
     const auto* c = arena.ptr<epalloc::MemChunk>(c_off);
-    const uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
-    for (uint32_t i = 0; i < epalloc::kObjectsPerChunk; ++i) {
+    uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
+    while (bm != 0) {
+      const auto i = static_cast<uint32_t>(std::countr_zero(bm));
+      bm &= bm - 1;
       const uint64_t leaf_off = geoms[0].object_off(c_off, i);
       const auto* leaf = arena.ptr<HartLeaf>(leaf_off);
-      const bool live = (bm >> i) & 1;
-      if (live) {
-        ++report.live_leaves;
-        if (leaf->key_len == 0 || leaf->key_len > common::kMaxKeyLen) {
-          ctx.error("leaf " + hex(leaf_off) + ": bad key length " +
-                    std::to_string(leaf->key_len));
-        } else if (std::memchr(leaf->key, 0, leaf->key_len) != nullptr) {
-          ctx.error("leaf " + hex(leaf_off) + ": key contains NUL");
-        } else if (leaf->key_fp != 0) {
+      ++report.live_leaves;
+      if (leaf->key_len == 0 || leaf->key_len > common::kMaxKeyLen) {
+        ctx.error("leaf " + hex(leaf_off) + ": bad key length " +
+                  std::to_string(leaf->key_len));
+      } else if (std::memchr(leaf->key, 0, leaf->key_len) != nullptr) {
+        ctx.error("leaf " + hex(leaf_off) + ": key contains NUL");
+      } else {
+        // V5: one live leaf per key.
+        auto [it, fresh] = key_owner.emplace(
+            std::string(leaf->key, leaf->key_len), leaf_off);
+        if (!fresh)
+          ctx.error("key \"" + it->first + "\" carried by two live leaves " +
+                    hex(it->second) + " and " + hex(leaf_off));
+        if (leaf->key_fp != 0) {
           // V3 (fingerprint): a nonzero persisted fingerprint must match
           // the one derived from the key bytes after the hash prefix
           // (0 = legacy/unset image, repaired lazily by recovery).
@@ -179,75 +186,33 @@ VerifyReport verify_hart_image(const pmem::Arena& arena, ImageState state) {
                       std::to_string(leaf->key_fp) + ", derived " +
                       std::to_string(art::key_fingerprint(ak)) + ")");
         }
-        const uint64_t w = leaf->p_value;
-        if (ValueRef::class_tag(w) > 3) {
-          ctx.error("leaf " + hex(leaf_off) + ": bad value class " +
-                    std::to_string(ValueRef::class_tag(w)));
-          continue;
-        }
-        const int cls = static_cast<int>(ValueRef::class_tag(w)) + 1;
-        if (ValueRef::len(w) == 0 ||
-            ValueRef::len(w) > epalloc::value_class_size(
-                                   static_cast<epalloc::ObjType>(cls)))
-          ctx.error("leaf " + hex(leaf_off) + ": value length " +
-                    std::to_string(ValueRef::len(w)) + " exceeds its class");
-        const uint64_t voff = ValueRef::off(w);
-        const int bit = value_bit(cls, voff);
-        if (bit != 1) {
-          ctx.error("leaf " + hex(leaf_off) +
-                    ": value reference invalid or bit clear (" + hex(w) +
-                    ")");
-        } else {
-          ++referenced_values;
-          auto [it, fresh] = value_owner.emplace(voff, leaf_off);
-          if (!fresh)
-            ctx.error("value " + hex(voff) +
-                      " referenced by two live leaves " + hex(it->second) +
-                      " and " + hex(leaf_off));
-        }
-      } else if (leaf->p_value != 0) {
-        // V5: a free slot with a dangling reference — benign iff the value
-        // bit is set (pending lazy reclamation per Alg. 2) or clear (the
-        // p_value clear had not persisted; the probe will ignore it).
-        const uint64_t w = leaf->p_value;
-        if (ValueRef::class_tag(w) <= 3 &&
-            value_bit(static_cast<int>(ValueRef::class_tag(w)) + 1,
-                      ValueRef::off(w)) == 1)
-          ++report.pending_reclamations;
       }
+      const uint64_t w = leaf->p_value;
+      if (ValueRef::class_tag(w) > 3) {
+        ctx.error("leaf " + hex(leaf_off) + ": bad value class " +
+                  std::to_string(ValueRef::class_tag(w)));
+        continue;
+      }
+      const int cls = static_cast<int>(ValueRef::class_tag(w)) + 1;
+      if (ValueRef::len(w) == 0 ||
+          ValueRef::len(w) > epalloc::value_class_size(
+                                 static_cast<epalloc::ObjType>(cls)))
+        ctx.error("leaf " + hex(leaf_off) + ": value length " +
+                  std::to_string(ValueRef::len(w)) + " exceeds its class");
+      const uint64_t voff = ValueRef::off(w);
+      if (!is_value_slot(cls, voff)) {
+        ctx.error("leaf " + hex(leaf_off) + ": value reference " + hex(w) +
+                  " names no object of its class");
+        continue;
+      }
+      // V4: one live leaf per value.
+      auto [it, fresh] = value_owner.emplace(voff, leaf_off);
+      if (!fresh)
+        ctx.error("value " + hex(voff) + " referenced by two live leaves " +
+                  hex(it->second) + " and " + hex(leaf_off));
     }
   }
-
-  // V4 (leak side): every committed value must be referenced by exactly one
-  // live leaf or be a pending reclamation. A crashed image may hold more:
-  // an update leaves its new value committed before the value-word swing
-  // and its old value committed after it, and a batched-metadata delete
-  // can leave its value bit set. Recovery's orphan sweep frees those, so
-  // they are a warning only in an image verified as crashed.
-  uint64_t committed_values = 0;
-  for (int cls = 1; cls < epalloc::kNumObjTypes; ++cls)
-    for (const uint64_t c_off : chunks_of[cls]) {
-      const auto* c = arena.ptr<epalloc::MemChunk>(c_off);
-      committed_values += static_cast<uint64_t>(
-          std::popcount(epalloc::ChunkHdr::bitmap(c->header)));
-    }
-  report.live_values = committed_values;
-  const uint64_t accounted =
-      referenced_values + report.pending_reclamations;
-  if (committed_values < accounted) {
-    ctx.error("value accounting mismatch: " +
-              std::to_string(committed_values) + " committed vs " +
-              std::to_string(referenced_values) + " referenced + " +
-              std::to_string(report.pending_reclamations) + " pending");
-  } else if (committed_values > accounted) {
-    report.orphaned_values = committed_values - accounted;
-    const std::string what = std::to_string(report.orphaned_values) +
-                             " committed values referenced by no leaf";
-    if (state == ImageState::kCrashed)
-      ctx.warn(what + " (recovery frees them)");
-    else
-      ctx.error(what);
-  }
+  report.live_values = value_owner.size();
 
   // V6: the recycle log.
   const auto& rlog = root->ep.rlog;

@@ -10,19 +10,17 @@
 //   V1  the root carries the HART magic, this build's format version and
 //       a sane hash_key_len;
 //   V2  every chunk list is acyclic, in-bounds, stride-aligned, and chunk
-//       headers have a consistent full-indicator / bitmap / hint;
-//   V3  every live leaf has a well-formed key (1..24 bytes, no NUL) and a
-//       well-formed value reference (in a chunk of the recorded class,
-//       with the value bit set);
-//   V4  no two live leaves share a value object; a committed value object
-//       that nothing references is counted in orphaned_values and is an
-//       error, except in an image verified as ImageState::kCrashed (a
-//       crash mid-update leaves one; recovery frees it), and dangling
-//       committed values are benign pending reclamations when referenced
-//       by a *free* leaf slot (V5);
-//   V5  stale value references from free leaf slots point at either a
-//       cleared-bit slot or a committed value pending lazy reclamation;
+//       headers have a consistent full-indicator / bitmap / hint; value
+//       chunk headers carry no bits (values have no persistent bit);
+//   V3  every live leaf has a well-formed key (1..24 bytes, no NUL, a
+//       matching fingerprint) and a well-formed value reference (an object
+//       slot in a chunk of the recorded class, a length that fits it);
+//   V4  no two live leaves share a value object;
+//   V5  no two live leaves carry the same key;
 //   V6  the recycle log is either empty or internally consistent.
+// A value is live exactly when a live leaf names it, so a crashed image
+// holds no orphaned or half-committed value to tolerate: the checks are
+// the same before and after recovery.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +40,8 @@ struct VerifyIssue {
 struct VerifyReport {
   std::vector<VerifyIssue> issues;
   uint64_t live_leaves = 0;
-  uint64_t live_values = 0;
+  uint64_t live_values = 0;  // values named by a live leaf
   uint64_t chunks = 0;
-  uint64_t pending_reclamations = 0;  // benign dangling values (V5)
-  uint64_t orphaned_values = 0;       // unreferenced committed values (V4)
 
   [[nodiscard]] bool ok() const {
     for (const auto& i : issues)
@@ -55,14 +51,8 @@ struct VerifyReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// What the caller knows of the image it verifies. A live or recovered
-/// image holds no orphaned value; one straight from a crash, not yet
-/// recovered, may.
-enum class ImageState { kQuiescent, kCrashed };
-
 /// Verify the HART image in `arena`. Read-only; safe on any arena, even a
 /// corrupted one (structural walks are bounds-checked and cycle-guarded).
-VerifyReport verify_hart_image(const pmem::Arena& arena,
-                               ImageState state = ImageState::kQuiescent);
+VerifyReport verify_hart_image(const pmem::Arena& arena);
 
 }  // namespace hart::core

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -21,6 +22,15 @@ struct ArenaHeader {
   uint64_t magic;
   uint64_t size;
 };
+
+/// The arena header of the open file `fd`, or a zeroed one when the file
+/// is too short to hold it.
+ArenaHeader read_header(int fd) {
+  ArenaHeader hdr{};
+  if (::pread(fd, &hdr, sizeof(hdr), 0) != static_cast<ssize_t>(sizeof(hdr)))
+    hdr = ArenaHeader{};
+  return hdr;
+}
 
 Arena::Options resolve_options(Arena::Options o) {
   if (o.size == 0) {
@@ -57,6 +67,14 @@ std::string Arena::resolve_file_path(const std::string& path) {
   return full.string();
 }
 
+size_t Arena::image_size(const std::string& path) {
+  const int fd = ::open(resolve_file_path(path).c_str(), O_RDONLY);
+  if (fd < 0) return 0;
+  const ArenaHeader hdr = read_header(fd);
+  ::close(fd);
+  return hdr.magic == kArenaMagic ? hdr.size : 0;
+}
+
 Arena::Arena(const Options& opts)
     : opts_(resolve_options(opts)),
       blocks_(kArenaHeaderSize, opts_.size - kArenaHeaderSize),
@@ -69,9 +87,7 @@ Arena::Arena(const Options& opts)
 
   auto* hdr = reinterpret_cast<ArenaHeader*>(base_);
   if (file_backed_ && hdr->magic == kArenaMagic) {
-    if (hdr->size != opts_.size)
-      throw std::runtime_error("arena file size mismatch");
-    reopened_ = true;
+    reopened_ = true;  // map_memory checked the recorded size
   } else {
     std::memset(base_, 0, kArenaHeaderSize);
     hdr->magic = kArenaMagic;
@@ -108,7 +124,24 @@ void Arena::map_memory() {
   if (!opts_.file_path.empty()) {
     fd_ = ::open(opts_.file_path.c_str(), O_RDWR | O_CREAT, 0644);
     if (fd_ < 0) throw std::runtime_error("cannot open arena file");
-    if (::ftruncate(fd_, static_cast<off_t>(opts_.size)) != 0) {
+    // Check before sizing: truncating first would destroy the data of an
+    // arena opened with the wrong size, which is then refused anyway.
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      ::close(fd_);
+      throw std::runtime_error("cannot stat arena file");
+    }
+    const ArenaHeader hdr = read_header(fd_);
+    const bool mismatch =
+        st.st_size != 0 &&
+        (static_cast<uint64_t>(st.st_size) != opts_.size ||
+         (hdr.magic == kArenaMagic && hdr.size != opts_.size));
+    if (mismatch) {
+      ::close(fd_);
+      throw std::runtime_error("arena file size mismatch");
+    }
+    if (st.st_size == 0 &&
+        ::ftruncate(fd_, static_cast<off_t>(opts_.size)) != 0) {
       ::close(fd_);
       throw std::runtime_error("cannot size arena file");
     }

@@ -68,6 +68,8 @@ class Arena {
     uint64_t crash_seed = 1;
     /// Optional file backing; empty = anonymous memory. An existing file
     /// with a valid header is re-opened (recovered), otherwise initialized.
+    /// Only a new or empty file is sized: a file whose length, or whose
+    /// header's recorded size, differs from `size` is refused untouched.
     /// A *relative* path is resolved under $HART_ARENA_DIR (or the system
     /// temp directory), see resolve_file_path() — so parallel test runs
     /// can be isolated by pointing HART_ARENA_DIR at distinct directories.
@@ -81,6 +83,10 @@ class Arena {
   /// through; relative paths are placed under arena_dir(), creating any
   /// intermediate directories.
   static std::string resolve_file_path(const std::string& path);
+  /// The size recorded in the arena header of the file at `path`
+  /// (resolved as above), or 0 when there is no file or it holds no arena.
+  /// Reads the header only; the file is not modified.
+  static size_t image_size(const std::string& path);
 
   explicit Arena(const Options& opts);
   ~Arena();

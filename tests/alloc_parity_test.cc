@@ -1,11 +1,10 @@
-// Persistent-format and batched-metadata crash-repair tests for the PM
+// Persistent-format and batched-metadata crash tests for the PM
 // allocator. A checked-in arena image written in the update-log format
 // (format 0) must be refused with a typed status, without a byte of it
-// being written. The batched chunk-header schedule additionally introduces
-// two recoverable torn shapes (an in-flight delete whose header clears
-// were deferred, and a committed value orphaned by such a delete); these
-// tests pin both the deterministic repairs and a crash sweep across the
-// persist stream.
+// being written. The batched chunk-header schedule defers an insert's
+// leaf-bit persist to the epoch fence but keeps a delete's leaf-bit clear
+// eager; these tests pin a delete's durability before the fence and a
+// crash sweep across the persist stream.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,7 +18,6 @@
 
 #include "hart/hart.h"
 #include "hart/verify.h"
-#include "obs/counters.h"
 #include "workload/keygen.h"
 
 namespace hart::core {
@@ -37,10 +35,6 @@ Hart::Options batched_alloc() {
   Hart::Options o;
   o.alloc.batched_meta = true;
   return o;
-}
-
-uint64_t counter_value(const char* name) {
-  return obs::Registry::instance().counter(name).value();
 }
 
 std::string file_bytes(const std::string& path) {
@@ -82,42 +76,53 @@ TEST(AllocParity, CurrentFormatIsStampedAndAccepted) {
   EXPECT_NO_THROW({ Hart h(*arena); });  // reopened
 }
 
-// Deterministic batched-metadata repairs: fence a populated tree, delete
-// one key without fencing, crash. The leaf's p_value clear is eager, the
-// header-bit clears were deferred — recovery must complete the delete
-// (R1) and sweep the now-orphaned committed value (R3).
+// Format 1 kept a persistent bit per value object; format 2 derives value
+// liveness from the leaves, so a format-1 image cannot be read as one.
+TEST(AllocParity, FormatOneImageIsRefused) {
+  auto arena = make_arena();
+  {
+    Hart h(*arena);
+    ASSERT_EQ(h.insert("key", "value"), common::Status::kInserted);
+  }
+  arena->root<HartRoot>()->format = 1;
+  try {
+    Hart h(*arena);
+    ADD_FAILURE() << "a format-1 image must be refused";
+  } catch (const FormatError& e) {
+    EXPECT_EQ(e.status(), common::Status::kUnsupportedFormat);
+    EXPECT_EQ(e.found_format(), 1u);
+  }
+  EXPECT_FALSE(verify_hart_image(*arena).ok());
+}
+
+// A batched delete is durable before the fence: its one persist, the leaf
+// bit's clear, is eager in both schedules. Fence a populated tree, delete
+// one key without fencing, crash; recovery finds the key gone and nothing
+// left to repair, and its value slot is free again.
 TEST(AllocParity, BatchedDeleteCrashCompletesOnRecovery) {
   auto arena = make_arena(/*shadow=*/true);
   const auto keys = workload::make_random(50, 33, 4, 12);
-  const uint64_t deletes0 =
-      counter_value("hart_recover_completed_deletes_total");
-  const uint64_t orphans0 = counter_value("hart_recover_orphan_values_total");
   {
     Hart h(*arena, batched_alloc());
     for (const auto& k : keys) h.insert(k, "v-" + k.substr(0, 4));
     h.flush_epoch();  // all 50 inserts durable
     ASSERT_EQ(h.remove(keys[7]), common::Status::kOk);
-    arena->crash();  // deferred header clears are lost; p_value=0 survives
+    arena->crash();  // nothing unflushed belongs to the delete
   }
   Hart h2(*arena, batched_alloc());
-  EXPECT_EQ(counter_value("hart_recover_completed_deletes_total"),
-            deletes0 + 1);
-  EXPECT_EQ(counter_value("hart_recover_orphan_values_total"), orphans0 + 1);
   for (size_t i = 0; i < keys.size(); ++i) {
     const auto want =
         i == 7 ? common::Status::kNotFound : common::Status::kOk;
     EXPECT_EQ(h2.search(keys[i], nullptr), want) << keys[i];
   }
   EXPECT_EQ(h2.size(), keys.size() - 1);
+  EXPECT_EQ(h2.allocator().live_objects(epalloc::ObjType::kValue8),
+            keys.size() - 1);
   EXPECT_TRUE(verify_hart_image(*arena).ok())
       << verify_hart_image(*arena).summary();
-  // The repairs themselves were made durable by recovery's final
-  // metadata flush: a second crash+recover must not repeat them.
+  // Recovery wrote nothing a second crash could lose.
   arena->crash();
   Hart h3(*arena, batched_alloc());
-  EXPECT_EQ(counter_value("hart_recover_completed_deletes_total"),
-            deletes0 + 1);
-  EXPECT_EQ(counter_value("hart_recover_orphan_values_total"), orphans0 + 1);
   EXPECT_EQ(h3.size(), keys.size() - 1);
 }
 

@@ -20,21 +20,12 @@
 namespace hart::epalloc {
 namespace {
 
+// A stand-in for HART's leaf: the value it names, and that value's class.
 struct FakeLeaf {
   uint64_t p_value;
   uint8_t val_class;
   uint8_t pad[31];
 };
-
-LeafValueRef probe(const pmem::Arena& a, uint64_t off) {
-  const auto* l = a.ptr<FakeLeaf>(off);
-  return {l->p_value,
-          l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
-}
-void clear(pmem::Arena& a, uint64_t off) {
-  a.ptr<FakeLeaf>(off)->p_value = 0;
-  a.persist(a.ptr<FakeLeaf>(off), 8);
-}
 
 struct R {
   EPRoot ep;
@@ -52,7 +43,7 @@ TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf),
                kFourStripes);
 
   auto& steals =
@@ -89,7 +80,7 @@ TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf),
                kFourStripes);
 
   constexpr int kThreads = 8;
@@ -141,7 +132,7 @@ TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
   pmem::Arena::Options o;
   o.size = 64 << 20;
   pmem::Arena arena(o);
-  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf),
                kFourStripes);
   auto& recycles =
       obs::Registry::instance().counter("ep_chunk_recycle_total");
@@ -171,7 +162,6 @@ TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
           const int type = static_cast<int>(rng.next_below(kNumObjTypes));
           const auto ot = static_cast<ObjType>(type);
           const uint64_t off = reserve(ep, ot);
-          if (type == 0) arena.ptr<FakeLeaf>(off)->p_value = 0;
           ep.commit(ot, off);
           mine(type).push_back(off);
         }
@@ -209,21 +199,25 @@ TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
     EXPECT_EQ(std::set<uint64_t>(list.begin(), list.end()).size(),
               list.size());
     EXPECT_EQ(list.size(), ep.chunk_count(ot)) << "type " << type;
+    // Leaf headers mirror the shadows; value headers carry no bits.
     uint64_t listed_live = 0;
     ep.for_each_live(ot, [&](uint64_t) { ++listed_live; });
-    EXPECT_EQ(listed_live, want) << "type " << type;
+    EXPECT_EQ(listed_live, has_persistent_bit(ot) ? want : 0)
+        << "type " << type;
     chunk_bytes += list.size() * ep.geom(ot).chunk_bytes;
   }
   EXPECT_EQ(arena.stats().pm_live_bytes.load(), chunk_bytes) << "PM leak";
 }
 
-TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
-  // Leaf allocations racing with value frees exercise the nested
-  // LEAF->VALUE lock ordering of the stale-value probe path.
+TEST(EPAllocConcurrent, DeletesFreeLeafThenValueAcrossStripes) {
+  // HART's delete order from many threads: the leaf's persistent bit
+  // clears first, then its value's DRAM-only slot, each free recycling the
+  // chunk it empties, while other threads commit leaf + value pairs into
+  // the same chunks.
   pmem::Arena::Options o;
   o.size = 128 << 20;
   pmem::Arena arena(o);
-  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+  Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf),
                kFourStripes);
 
   constexpr int kThreads = 8;
@@ -243,23 +237,27 @@ TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
         ep.commit(vcls, val);
         ep.commit(ObjType::kLeaf, leaf);
         if (rng.next_below(2)) {
-          // Delete via the combined leaf+value release.
-          const auto emptied = ep.free_leaf_with_value(leaf, vcls, val);
-          if (emptied.value) ep.recycle_chunk_of(vcls, val);
-          if (emptied.leaf) ep.recycle_chunk_of(ObjType::kLeaf, leaf);
+          if (ep.free_object(ObjType::kLeaf, leaf))
+            ep.recycle_chunk_of(ObjType::kLeaf, leaf);
+          if (ep.free_object(vcls, val)) ep.recycle_chunk_of(vcls, val);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
-  // Whatever remains must be internally consistent: every live leaf's
-  // value bit is set.
+  // Whatever remains is exactly the live leaves and the values they name.
+  uint64_t leaves = 0;
   ep.for_each_live(ObjType::kLeaf, [&](uint64_t off) {
+    ++leaves;
     const auto* l = arena.ptr<FakeLeaf>(off);
     const ObjType vcls =
         l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16;
     EXPECT_TRUE(ep.bit_is_set(vcls, l->p_value)) << off;
   });
+  EXPECT_EQ(leaves, ep.live_objects(ObjType::kLeaf));
+  EXPECT_EQ(ep.live_objects(ObjType::kValue8) +
+                ep.live_objects(ObjType::kValue16),
+            leaves);
 }
 
 }  // namespace

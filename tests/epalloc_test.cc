@@ -1,8 +1,9 @@
 // Unit tests for EPallocator: chunk header encoding, two-phase allocation,
-// chunk-list growth, recycling with the recycle log, stale-value
-// reclamation, and structural recovery. The allocator runs with one stripe
-// and eager header persists — the paper's single-instance EPallocator — so
-// chunk fill order and the recycle persist sequence are exact.
+// chunk-list growth, recycling with the recycle log, the split between
+// persistent leaf bits and DRAM-only value occupancy, and structural
+// recovery. The allocator runs with one stripe and eager header persists —
+// the paper's single-instance EPallocator — so chunk fill order and the
+// recycle persist sequence are exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,24 +19,8 @@
 namespace hart::epalloc {
 namespace {
 
-// A stand-in leaf: first 8 bytes act as p_value, next byte as class tag —
-// mirrors HART's probe contract without depending on the hart module.
-struct FakeLeaf {
-  uint64_t p_value;
-  uint8_t val_class;
-  uint8_t pad[31];
-};
-static_assert(sizeof(FakeLeaf) == 40);
-
-LeafValueRef fake_probe(const pmem::Arena& a, uint64_t leaf_off) {
-  const auto* l = a.ptr<FakeLeaf>(leaf_off);
-  return {l->p_value,
-          l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
-}
-void fake_clear(pmem::Arena& a, uint64_t leaf_off) {
-  a.ptr<FakeLeaf>(leaf_off)->p_value = 0;
-  a.persist(a.ptr<FakeLeaf>(leaf_off), 8);
-}
+// A stand-in for HART's 40-byte leaf.
+constexpr uint32_t kLeafSize = 40;
 
 struct Root {
   uint64_t magic;
@@ -63,8 +48,7 @@ class EPAllocTest : public ::testing::Test {
   }
   void make_alloc() {
     ep_ = std::make_unique<Allocator>(*arena_, &arena_->root<Root>()->ep,
-                                      sizeof(FakeLeaf), &fake_probe,
-                                      &fake_clear, kPaperAlloc);
+                                      kLeafSize, kPaperAlloc);
   }
   std::unique_ptr<pmem::Arena> arena_;
   std::unique_ptr<Allocator> ep_;
@@ -210,24 +194,106 @@ TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
   EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
 }
 
-TEST_F(EPAllocTest, StaleCommittedValueIsReclaimedOnLeafReuse) {
-  // Simulate a crashed insertion: value committed, leaf bit never set.
-  const uint64_t leaf = reserve(*ep_, ObjType::kLeaf);
-  const uint64_t val = reserve(*ep_, ObjType::kValue8);
-  ep_->commit(ObjType::kValue8, val);
-  auto* l = arena_->ptr<FakeLeaf>(leaf);
-  l->p_value = val;
-  l->val_class = 0;
-  arena_->persist(l, sizeof(*l));
-  // "Crash": reservation of the leaf evaporates.
-  ep_->release(ObjType::kLeaf, leaf);
+TEST_F(EPAllocTest, ValueCommitsAndFreesPersistNothing) {
+  // Values have no persistent bit: their commit and free change only the
+  // DRAM shadow, and their chunk header stays zero.
+  const uint64_t v = reserve(*ep_, ObjType::kValue8);
+  const uint64_t before = arena_->stats().persist_calls.load();
+  ep_->commit(ObjType::kValue8, v);
+  EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, v));
+  const auto* c = arena_->ptr<MemChunk>(
+      ep_->geom(ObjType::kValue8).chunk_of(v));
+  EXPECT_EQ(c->header, 0u);
+  const uint64_t keep = reserve(*ep_, ObjType::kValue8);
+  ep_->commit(ObjType::kValue8, keep);
+  EXPECT_FALSE(ep_->free_object(ObjType::kValue8, v));
+  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, v));
+  EXPECT_EQ(c->header, 0u);
+  EXPECT_EQ(arena_->stats().persist_calls.load(), before);
+  EXPECT_EQ(reserve(*ep_, ObjType::kValue8), v) << "reusable at once";
+}
 
-  // The next leaf allocation receives the same slot and must reclaim the
-  // dangling value (Alg. 2 lines 12-16).
-  const uint64_t leaf2 = reserve(*ep_, ObjType::kLeaf);
-  EXPECT_EQ(leaf2, leaf);
-  EXPECT_EQ(arena_->ptr<FakeLeaf>(leaf2)->p_value, 0u);
-  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, val));
+TEST_F(EPAllocTest, LeafBitsPersistOnCommitAndFree) {
+  const uint64_t l = reserve(*ep_, ObjType::kLeaf);
+  const auto* c =
+      arena_->ptr<MemChunk>(ep_->geom(ObjType::kLeaf).chunk_of(l));
+  uint64_t before = arena_->stats().persist_calls.load();
+  ep_->commit(ObjType::kLeaf, l);
+  EXPECT_EQ(arena_->stats().persist_calls.load(), before + 1);
+  EXPECT_NE(ChunkHdr::bitmap(c->header), 0u);
+  before = arena_->stats().persist_calls.load();
+  ep_->free_object(ObjType::kLeaf, l);
+  EXPECT_EQ(arena_->stats().persist_calls.load(), before + 1);
+  EXPECT_EQ(ChunkHdr::bitmap(c->header), 0u);
+}
+
+TEST(EPAllocBatched, LeafFreePersistsEagerlyAndCoversDeferredCommits) {
+  // Batched metadata defers a leaf commit's header persist to the fence,
+  // but a leaf free persists at once: the slot and the value its leaf
+  // named are reusable as soon as the free returns. The same persist makes
+  // the chunk's deferred commits durable, so the fence skips the chunk.
+  pmem::Arena::Options o;
+  o.size = 8 << 20;
+  o.shadow = true;
+  o.charge_alloc_persist = false;
+  pmem::Arena arena(o);
+  struct R {
+    EPRoot ep;
+  };
+  Allocator ep(arena, &arena.root<R>()->ep, kLeafSize,
+               {.stripes = 1, .batched_meta = true});
+  const uint64_t a = reserve(ep, ObjType::kLeaf);
+  const uint64_t b = reserve(ep, ObjType::kLeaf);
+  uint64_t before = arena.stats().persist_calls.load();
+  ep.commit(ObjType::kLeaf, a);
+  ep.commit(ObjType::kLeaf, b);
+  EXPECT_EQ(arena.stats().persist_calls.load(), before) << "deferred";
+  ep.free_object(ObjType::kLeaf, a);
+  EXPECT_EQ(arena.stats().persist_calls.load(), before + 1) << "eager";
+  before = arena.stats().persist_calls.load();
+  ep.flush_metadata(1);
+  EXPECT_EQ(arena.stats().persist_calls.load(), before)
+      << "the free's persist already covered b's commit";
+  arena.crash();
+  Allocator ep2(arena, &arena.root<R>()->ep, kLeafSize,
+                {.stripes = 1, .batched_meta = true});
+  ep2.recover_structure();
+  EXPECT_FALSE(ep2.bit_is_set(ObjType::kLeaf, a));
+  EXPECT_TRUE(ep2.bit_is_set(ObjType::kLeaf, b));
+}
+
+TEST_F(EPAllocTest, RecoveryRederivesValueOccupancyFromMarkLive) {
+  std::vector<uint64_t> vals;
+  for (uint32_t i = 0; i < kObjectsPerChunk + 5; ++i) {
+    const uint64_t v = reserve(*ep_, ObjType::kValue16);
+    ep_->commit(ObjType::kValue16, v);
+    vals.push_back(v);
+  }
+  arena_->crash();
+  make_alloc();
+  ep_->recover_structure();
+  // The chunks survive (their links are persistent), their occupancy
+  // does not: the owner re-derives it.
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 2u);
+  EXPECT_EQ(ep_->live_objects(ObjType::kValue16), 0u);
+  for (size_t i = 0; i < vals.size(); i += 2)
+    ep_->mark_live(ObjType::kValue16, vals[i]);
+  EXPECT_EQ(ep_->live_objects(ObjType::kValue16), (vals.size() + 1) / 2);
+  EXPECT_THROW(ep_->mark_live(ObjType::kValue16, vals[0]),
+               std::runtime_error)
+      << "a value named twice";
+  EXPECT_THROW(ep_->mark_live(ObjType::kValue16, vals[0] + 4),
+               std::runtime_error)
+      << "not an object boundary";
+  // Filling both chunks hands out every unmarked slot, no marked one.
+  std::set<uint64_t> again;
+  const uint64_t free_slots =
+      2 * kObjectsPerChunk - ep_->live_objects(ObjType::kValue16);
+  for (uint64_t i = 0; i < free_slots; ++i)
+    again.insert(reserve(*ep_, ObjType::kValue16));
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 2u);
+  for (size_t i = 0; i < vals.size(); ++i)
+    EXPECT_EQ(again.count(vals[i]), i % 2 == 0 ? 0u : 1u) << i;
 }
 
 TEST_F(EPAllocTest, LiveObjectCountsTrackCommits) {
@@ -316,6 +382,7 @@ TEST_F(EPAllocTest, RecoveryIsLeakFreeByConstruction) {
 TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
   // Build two chunks, empty the tail chunk, then crash at each persist
   // point inside recycle and verify recovery leaves a consistent list.
+  // Leaves, whose bits are persistent, so the survivors must come back.
   for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
     pmem::Arena::Options o;
     o.size = 32 << 20;
@@ -327,42 +394,41 @@ TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
     };
     auto mk = [&] {
       return std::make_unique<Allocator>(arena, &arena.root<R>()->ep,
-                                         sizeof(FakeLeaf), &fake_probe,
-                                         &fake_clear, kPaperAlloc);
+                                         kLeafSize, kPaperAlloc);
     };
     auto ep = mk();
     std::vector<uint64_t> offs;
     for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-      const uint64_t obj = reserve(*ep, ObjType::kValue8);
-      ep->commit(ObjType::kValue8, obj);
+      const uint64_t obj = reserve(*ep, ObjType::kLeaf);
+      ep->commit(ObjType::kLeaf, obj);
       offs.push_back(obj);
     }
-    const auto& g = ep->geom(ObjType::kValue8);
+    const auto& g = ep->geom(ObjType::kLeaf);
     const uint64_t victim_chunk = g.chunk_of(offs.front());
     uint64_t survivors = 0;
     for (const uint64_t obj : offs)
       if (g.chunk_of(obj) == victim_chunk)
-        ep->free_object(ObjType::kValue8, obj);
+        ep->free_object(ObjType::kLeaf, obj);
       else
         ++survivors;
 
     arena.arm_crash_after(crash_at);
     try {
-      ep->recycle_chunk_of(ObjType::kValue8, offs.front());
+      ep->recycle_chunk_of(ObjType::kLeaf, offs.front());
       arena.disarm_crash();
     } catch (const pmem::CrashPoint&) {
       arena.crash();
     }
     ep = mk();
     ep->recover_structure();
-    EXPECT_EQ(ep->live_objects(ObjType::kValue8), survivors)
+    EXPECT_EQ(ep->live_objects(ObjType::kLeaf), survivors)
         << "crash_at=" << crash_at;
     // List must be walkable and the recycle log empty.
     EXPECT_EQ(arena.root<R>()->ep.rlog.pcurrent, 0u);
     // Allocation still works afterwards.
-    const uint64_t obj = reserve(*ep, ObjType::kValue8);
-    ep->commit(ObjType::kValue8, obj);
-    EXPECT_TRUE(ep->bit_is_set(ObjType::kValue8, obj));
+    const uint64_t obj = reserve(*ep, ObjType::kLeaf);
+    ep->commit(ObjType::kLeaf, obj);
+    EXPECT_TRUE(ep->bit_is_set(ObjType::kLeaf, obj));
   }
 }
 
@@ -373,7 +439,8 @@ TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
 // rebuilt those links. crash_at = 0 runs without a crash; otherwise every
 // recycle crashes at its crash_at-th persist (if it has that many), the
 // arena loses its unflushed lines, and recovery completes or rolls back
-// the unlink from the recycle log before the model is compared.
+// the unlink from the recycle log before the model is compared. The
+// chunks hold leaves, whose bits survive a crash.
 TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
   for (uint64_t crash_at = 0; crash_at <= 5; ++crash_at) {
     SCOPED_TRACE("crash_at=" + std::to_string(crash_at));
@@ -387,17 +454,16 @@ TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
     };
     auto mk = [&] {
       auto ep = std::make_unique<Allocator>(arena, &arena.root<R>()->ep,
-                                            sizeof(FakeLeaf), &fake_probe,
-                                            &fake_clear, kPaperAlloc);
+                                            kLeafSize, kPaperAlloc);
       ep->recover_structure();
       return ep;
     };
     auto ep = mk();
     constexpr int kChunks = 9;
-    const TypeGeometry g = ep->geom(ObjType::kValue16);  // ep is replaced
+    const TypeGeometry g = ep->geom(ObjType::kLeaf);  // ep is replaced
     for (uint32_t i = 0; i < kObjectsPerChunk * kChunks; ++i)
-      ep->commit(ObjType::kValue16, reserve(*ep, ObjType::kValue16));
-    std::vector<uint64_t> model = ep->chunk_offsets(ObjType::kValue16);
+      ep->commit(ObjType::kLeaf, reserve(*ep, ObjType::kLeaf));
+    std::vector<uint64_t> model = ep->chunk_offsets(ObjType::kLeaf);
     ASSERT_EQ(model.size(), static_cast<size_t>(kChunks));
 
     // Middle, head, tail first, then the rest in a seeded random order.
@@ -418,24 +484,24 @@ TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
     for (const uint64_t victim : order) {
       bool emptied = false;
       for (uint32_t i = 0; i < kObjectsPerChunk; ++i)
-        emptied = ep->free_object(ObjType::kValue16, g.object_off(victim, i));
+        emptied = ep->free_object(ObjType::kLeaf, g.object_off(victim, i));
       EXPECT_TRUE(emptied) << "the last free must report an empty chunk";
       if (crash_at != 0) arena.arm_crash_after(crash_at);
       try {
-        ep->recycle_chunk_of(ObjType::kValue16, victim);
+        ep->recycle_chunk_of(ObjType::kLeaf, victim);
         arena.disarm_crash();
       } catch (const pmem::CrashPoint&) {
         arena.crash();
         ep = mk();
         // A crash before the recycle log was durable leaves the (empty)
         // chunk linked; recycling it again must unlink it.
-        ep->recycle_chunk_of(ObjType::kValue16, victim);
+        ep->recycle_chunk_of(ObjType::kLeaf, victim);
       }
       model.erase(std::find(model.begin(), model.end(), victim));
-      ASSERT_EQ(ep->chunk_offsets(ObjType::kValue16), model)
+      ASSERT_EQ(ep->chunk_offsets(ObjType::kLeaf), model)
           << "after recycling chunk " << victim;
-      EXPECT_EQ(ep->chunk_count(ObjType::kValue16), model.size());
-      EXPECT_EQ(ep->live_objects(ObjType::kValue16),
+      EXPECT_EQ(ep->chunk_count(ObjType::kLeaf), model.size());
+      EXPECT_EQ(ep->live_objects(ObjType::kLeaf),
                 model.size() * kObjectsPerChunk);
       EXPECT_EQ(arena.root<R>()->ep.rlog.pcurrent, 0u);
     }

@@ -229,9 +229,9 @@ TEST(Hart, MemoryUsageTracksBothTiers) {
 TEST(Hart, PersistCallsPerInsertAreBounded) {
   // Selective persistence pins the write schedules exactly, never one
   // persist per touched internal node. On a warmed arena (no chunk is
-  // created or recycled): insert = value, whole leaf, value bit, leaf bit;
-  // update = new value, new value bit, value word, old value bit (no
-  // log); delete = leaf bit, value bit, p_value clear.
+  // created or recycled): insert = value, whole leaf, leaf bit; update =
+  // new value, value word (no log); delete = leaf bit. Value objects have
+  // no persistent bit to set or clear.
   auto arena = make_arena();
   Hart h(*arena, testutil::hart_options());
   // Warm up: create the chunks, then free every other slot. No chunk can
@@ -246,17 +246,17 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   uint64_t before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; ++i)
     h.insert("probe" + std::to_string(i), "v");
-  EXPECT_EQ(persists_since(before), 4u * 50);
+  EXPECT_EQ(persists_since(before), 3u * 50);
 
   before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; ++i)
     h.update("probe" + std::to_string(i), "w");
-  EXPECT_EQ(persists_since(before), 4u * 50);
+  EXPECT_EQ(persists_since(before), 2u * 50);
 
   before = arena->stats().persist_calls.load();
   for (int i = 0; i < 50; i += 2)
     EXPECT_EQ(h.remove("probe" + std::to_string(i)), common::Status::kOk);
-  EXPECT_EQ(persists_since(before), 3u * 25);
+  EXPECT_EQ(persists_since(before), 1u * 25);
 
   // The inserted leaf is never read back from PM: an insert into an empty
   // partition has no other leaf to compare against, so it reads no line.
@@ -267,9 +267,9 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
 }
 
 TEST(Hart, BatchedMetadataUpdateCostsTwoPersists) {
-  // With chunk-header persists batched onto the epoch fence, an update
-  // persists only its new value and its value word; both bit flips ride
-  // the next flush_epoch().
+  // An update persists only its new value and its value word, in either
+  // metadata schedule: no chunk header changes, so the next fence has no
+  // deferred header to flush and persists only the epoch stamp.
   auto arena = make_arena();
   Hart::Options opts = testutil::hart_options();
   opts.alloc.batched_meta = true;
@@ -285,10 +285,38 @@ TEST(Hart, BatchedMetadataUpdateCostsTwoPersists) {
   for (int i = 0; i < 50; ++i)
     ASSERT_EQ(h.update("probe" + std::to_string(i), "w"), common::Status::kOk);
   EXPECT_EQ(arena->stats().persist_calls.load() - before, 2u * 50);
+  const uint64_t fence = arena->stats().persist_calls.load();
   h.flush_epoch();
+  EXPECT_EQ(arena->stats().persist_calls.load() - fence, 1u);
   std::string v;
   EXPECT_EQ(h.search("probe7", &v), common::Status::kOk);
   EXPECT_EQ(v, "w");
+}
+
+TEST(Hart, BatchedDeleteCostsOneEagerPersist) {
+  // A delete's one persist, the leaf bit's clear, stays eager under
+  // batched metadata: the freed value slot is reusable at once, and a
+  // re-insert of the key must never recover beside the old leaf. Nothing
+  // is left for the fence but the epoch stamp.
+  auto arena = make_arena();
+  Hart::Options opts = testutil::hart_options();
+  opts.alloc.batched_meta = true;
+  Hart h(*arena, opts);
+  for (int i = 0; i < 400; ++i)
+    h.insert("warm" + std::to_string(i), "v");
+  for (int i = 0; i < 400; i += 2) h.remove("warm" + std::to_string(i));
+  h.quiesce();
+  for (int i = 0; i < 50; ++i) h.insert("probe" + std::to_string(i), "v");
+  h.flush_epoch();
+  const uint64_t before = arena->stats().persist_calls.load();
+  for (int i = 0; i < 50; i += 2)
+    ASSERT_EQ(h.remove("probe" + std::to_string(i)), common::Status::kOk);
+  EXPECT_EQ(arena->stats().persist_calls.load() - before, 1u * 25);
+  const uint64_t fence = arena->stats().persist_calls.load();
+  h.flush_epoch();
+  EXPECT_EQ(arena->stats().persist_calls.load() - fence, 1u);
+  EXPECT_EQ(h.search("probe0", nullptr), common::Status::kNotFound);
+  EXPECT_EQ(h.search("probe1", nullptr), common::Status::kOk);
 }
 
 TEST(Hart, MultiGetGroupsByPartition) {

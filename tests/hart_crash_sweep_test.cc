@@ -1,19 +1,24 @@
 // Exhaustive crash sweep of HART's write paths (DESIGN.md §4). A short
 // seeded history of inserts, updates and deletes — class-changing updates
-// and deletes that empty chunks, so chunk recycles run too — is replayed
-// once per persist boundary and crashed at each one in turn (stride 1, not
-// a strided sample). After every recovery:
+// and deletes that empty chunks, so chunk recycles run too, and inside one
+// batch a delete followed by a re-insert of the key and an update followed
+// by a delete — is replayed once per persist boundary and crashed at each
+// one in turn (stride 1, not a strided sample). After every recovery:
 //   1. acked ⇒ durable: a key with no unacked operation holds exactly its
 //      acked state;
 //   2. the recovered contents equal a DramIndex oracle of the acked state
 //      in which each key with unacked operations may instead hold the
 //      state after any one of them (and nothing else, never a torn value);
-//   3. verify_hart_image reports no error and no orphaned value, live PM
-//      bytes equal the reachable chunks, and PMCheck saw no violation;
+//   3. no two live leaves carry one key, verify_hart_image reports no
+//      error, live PM bytes equal the reachable chunks, and PMCheck saw no
+//      violation;
 //   4. all of the above still holds after the recovered tree re-allocates
 //      the freed value and leaf slots (updates, then fresh inserts).
 // Eager allocator metadata acks each operation when it returns; batched
-// metadata acks at the epoch fence, as hartd does. Each runs under the
+// metadata acks at the epoch fence, as hartd does. Batched metadata also
+// runs with the paper's locked reads, where a freed value slot is
+// reusable at once rather than after an EBR grace period, so a batch
+// overwrites the values it frees before its fence. Each runs under the
 // strict crash model (every unflushed line lost) and under eviction: a
 // crash point with at most kMaxEnumeratedLines unflushed cache lines is
 // recovered from every non-empty subset of them surviving (each subset is
@@ -72,6 +77,16 @@ std::vector<Op> make_history(int mix_ops, uint64_t seed) {
   int step = 0;
   for (size_t i = 0; i < 10; ++i)
     ops.push_back({OpKind::kInsert, kKeys[i], make_value(step++, rng.next())});
+  ops.push_back({OpKind::kFence, "", ""});
+  // One batch, two patterns the delete's single eager persist must order
+  // correctly: delete then re-insert a key (the old leaf's clear must be
+  // durable before the new leaf can be), and update then delete one (the
+  // freed values are reused at once).
+  ops.push_back({OpKind::kRemove, kKeys[0], ""});
+  ops.push_back({OpKind::kInsert, kKeys[0], make_value(step++, rng.next())});
+  ops.push_back({OpKind::kUpdate, kKeys[1], make_value(step++, rng.next())});
+  ops.push_back({OpKind::kRemove, kKeys[1], ""});
+  ops.push_back({OpKind::kInsert, kKeys[10], make_value(step++, rng.next())});
   ops.push_back({OpKind::kFence, "", ""});
   for (int i = 0; i < mix_ops; ++i) {
     const std::string& k = kKeys[rng.next_below(kKeys.size())];
@@ -173,6 +188,9 @@ struct SweepConfig {
   const char* name;
   bool batched_meta;
   bool evict;  // enumerate survivor subsets (see the file comment)
+  // The paper's locked reads: freed slots are reusable at once instead of
+  // after an EBR grace period, so a batch reuses the values it frees.
+  bool rwlock_reads = false;
 };
 
 void PrintTo(const SweepConfig& cfg, std::ostream* os) { *os << cfg.name; }
@@ -182,6 +200,8 @@ const SweepConfig kConfigs[] = {
     {"eager_evict", false, true},
     {"batched", true, false},
     {"batched_evict", true, true},
+    {"batched_rwlock", true, false, true},
+    {"batched_rwlock_evict", true, true, true},
 };
 
 /// Crash points with at most this many unflushed lines are recovered from
@@ -193,6 +213,7 @@ Hart::Options hart_options(const SweepConfig& cfg) {
   Hart::Options o;
   o.hash_buckets = 64;  // a fresh Hart per crash point: keep it cheap
   o.alloc.batched_meta = cfg.batched_meta;
+  o.rwlock_reads = cfg.rwlock_reads;
   return o;
 }
 
@@ -302,6 +323,11 @@ CrashRun crash_and_check(const SweepConfig& cfg,
   }
   EXPECT_EQ(h2.size(), oracle.acked().size());
   EXPECT_EQ(contents(h2), contents(oracle.acked()));
+  std::map<std::string, int> leaves_per_key;
+  h2.for_each_key(
+      [&](std::string_view k) { ++leaves_per_key[std::string(k)]; });
+  for (const auto& [k, n] : leaves_per_key)
+    EXPECT_EQ(n, 1) << "live leaves carrying " << k;
 
   const VerifyReport rep = verify_hart_image(*arena);
   EXPECT_TRUE(rep.ok()) << rep.summary();
@@ -315,8 +341,8 @@ CrashRun crash_and_check(const SweepConfig& cfg,
 
   // Recovery must leave nothing behind that a later allocation trips
   // over: update every live key (re-allocating freed value slots), then
-  // insert fresh keys (re-allocating freed leaf slots, which runs the
-  // stale-value probe), and check everything again.
+  // insert fresh keys (re-allocating freed leaf slots, whose stale value
+  // words must mean nothing), and check everything again.
   for (const auto& k : kKeys) {
     if (!oracle.acked().search(k, nullptr).ok()) continue;
     EXPECT_EQ(h2.update(k, "after-" + k), common::Status::kOk) << k;

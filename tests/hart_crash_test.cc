@@ -117,8 +117,9 @@ TEST(HartCrash, UpdateSweepHonorsLogCases) {
         EXPECT_EQ(v, "old") << "uncommitted update became visible";
       } else {
         // The mid-crash update may have landed either way (its value word
-        // is the commit point; recovery frees whichever value the leaf no
-        // longer names) — but it must be one of the two values, never torn.
+        // is the commit point; whichever value the leaf no longer names is
+        // free after recovery) — but it must be one of the two values,
+        // never torn.
         EXPECT_TRUE(v == "old" || v == "new-value-16byte") << v;
       }
     }
@@ -155,8 +156,8 @@ TEST(HartCrash, DeleteSweep) {
       }
     }
     expect_leak_free(h2, *arena);
-    // Reinsert everything; dangling values from the crashed delete are
-    // reclaimed lazily by EPMalloc's stale-value check.
+    // Reinsert everything, re-allocating the freed leaf and value slots:
+    // the crashed delete left nothing behind that they trip over.
     for (const auto& k : keys) h2.insert(k, "again");
     EXPECT_EQ(h2.size(), keys.size());
     expect_leak_free(h2, *arena);
@@ -236,11 +237,13 @@ TEST(HartCrash, MixedChurnSweepWithEviction) {
 }
 
 TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
-  // An insert that crashes after its leaf flush but before its value bit
+  // An insert that crashes after its leaf flush but before its leaf bit
   // leaves a free leaf slot whose p_value names a value slot recovery
-  // treats as free. If an update then re-allocates that value slot and an
-  // insert re-allocates the leaf slot, the stale-value probe must not
-  // reclaim the updated key's live value.
+  // treats as free. An update then re-allocates that value slot and an
+  // insert re-allocates the leaf slot: nothing may read the stale word
+  // and free the updated key's live value. (Format 1 had a stale-value
+  // probe on leaf reuse that did exactly that until recovery learned to
+  // clear such words; format 2 never reads a free slot's word.)
   for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
     auto arena = make_arena();
     {
@@ -268,8 +271,9 @@ TEST(HartCrash, StaleLeafRefNeverReclaimsALiveValue) {
 }
 
 TEST(HartCrash, RepeatedCrashesDuringRecovery) {
-  // Crash during recovery itself (freeing an update's orphaned value),
-  // then recover again: recovery must be idempotent.
+  // Crash during recovery itself, then recover again: recovery must be
+  // idempotent. (It persists nothing on this image — a crashed update
+  // leaves no orphaned value to free — so the armed crashes may not fire.)
   const auto keys = workload::make_random(60, 3, 4, 10);
   auto arena = make_arena();
   {

@@ -5,6 +5,9 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <set>
 #include <vector>
 
@@ -323,6 +326,46 @@ TEST(Arena, FileBackedArenaSurvivesReopen) {
     EXPECT_EQ(a.root<Root>()->magic, 123u);
   }
   std::filesystem::remove(path);
+}
+
+TEST(Arena, SizeMismatchIsRefusedWithoutTouchingTheFile) {
+  // An arena file reopened with another configured size, smaller or
+  // larger, is refused before anything sizes or writes the file.
+  const auto path =
+      std::filesystem::temp_directory_path() / "hart_arena_mismatch.pm";
+  std::filesystem::remove(path);
+  {
+    Arena::Options o;
+    o.size = 8 << 20;
+    o.file_path = path.string();
+    Arena a(o);
+    const uint64_t off = a.alloc(4096);
+    std::memset(a.ptr<char>(off), 0x5a, 4096);
+    a.persist(a.ptr<char>(off), 4096);
+  }
+  auto bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string before = bytes();
+  ASSERT_EQ(before.size(), size_t{8} << 20);
+  EXPECT_EQ(Arena::image_size(path.string()), size_t{8} << 20);
+  for (const size_t mb : {4, 16}) {
+    Arena::Options o;
+    o.size = mb << 20;
+    o.file_path = path.string();
+    EXPECT_THROW({ Arena a(o); }, std::runtime_error) << mb << " MiB";
+    EXPECT_EQ(bytes(), before) << mb << " MiB";
+  }
+  // The recorded size still opens it.
+  Arena::Options o;
+  o.size = Arena::image_size(path.string());
+  o.file_path = path.string();
+  Arena a(o);
+  EXPECT_TRUE(a.reopened());
+  std::filesystem::remove(path);
+  EXPECT_EQ(Arena::image_size(path.string()), 0u) << "no file, no image";
 }
 
 TEST(Arena, RelativeFilePathResolvesUnderArenaDirEnv) {
