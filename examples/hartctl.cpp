@@ -6,6 +6,7 @@
 //   $ ./examples/hartctl <file> stats           # allocator + tree stats
 //   $ ./examples/hartctl <file> dump [lo] [n]   # ordered key dump
 //   $ ./examples/hartctl <file> recover [T]     # recover (T threads)
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -35,7 +36,9 @@ const char* type_name(int t) {
 
 int run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
-  const std::string file = argv[1];
+  // A relative path names a file in the working directory (the library
+  // alone would look under HART_ARENA_DIR or the temp directory).
+  const std::string file = std::filesystem::absolute(argv[1]).string();
   const std::string cmd = argv[2];
 
   // Every command inspects an existing image, opened at the size it was
@@ -76,8 +79,15 @@ int run(int argc, char** argv) {
                std::to_string(index.hash_key_len())});
     t.add_row({"PM bytes", std::to_string(mem.pm_bytes)});
     t.add_row({"DRAM bytes", std::to_string(mem.dram_bytes)});
+    t.add_row({"image format",
+               std::to_string(arena.root<hart::core::HartRoot>()->format)});
     for (int ty = 0; ty < hart::epalloc::kNumObjTypes; ++ty) {
       const auto ot = static_cast<hart::epalloc::ObjType>(ty);
+      const auto& g = index.allocator().geom(ot);
+      t.add_row({std::string(type_name(ty)) + " geometry",
+                 "object " + std::to_string(g.obj_size) + " B, first at " +
+                     std::to_string(g.object_off(0, 0)) + " B, chunk " +
+                     std::to_string(g.chunk_bytes) + " B"});
       t.add_row({std::string(type_name(ty)) + " chunks",
                  std::to_string(index.allocator().chunk_count(ot))});
       t.add_row({std::string(type_name(ty)) + " live objects",

@@ -11,7 +11,7 @@
 //   pears = 7
 //   $ ./examples/persistent_kv /tmp/shop.pm del apples
 //   $ ./examples/persistent_kv /tmp/shop.pm stats
-#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -29,7 +29,9 @@ int usage(const char* prog) {
 
 int run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
-  const std::string file = argv[1];
+  // A relative path names a file in the working directory (the library
+  // alone would place it under HART_ARENA_DIR or the temp directory).
+  const std::string file = std::filesystem::absolute(argv[1]).string();
   const std::string cmd = argv[2];
 
   // An existing image opens at the size it was created with; a new one is

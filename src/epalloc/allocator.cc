@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -151,17 +150,19 @@ uint64_t Allocator::new_chunk_list_locked(TypeState& st, ObjType t) {
   const TypeGeometry& g = st.geom;
   const uint64_t off = arena_.alloc(g.chunk_bytes, g.stride);
   auto* c = chunk_ptr(off);
-  // Zero + persist the whole chunk before linking (Alg. 2 lines 8-10): a
-  // crash before the head update leaves the chunk unreachable and the
-  // recovery reachability scan frees it.
-  // List links always persist eagerly, even in batched mode — recovery
-  // walks them before any flush_metadata could run.
+  // Persist the header line before linking (Alg. 2 lines 8-10): a crash
+  // before the head update leaves the chunk unreachable and the recovery
+  // reachability scan frees it. Only the header and PNext are written: no
+  // code reads a free slot, and a slot becomes reachable only after its own
+  // contents persisted (a leaf through its bit, a value through a live
+  // leaf), so the object area keeps whatever the space held before
+  // (DESIGN.md §13). List links always persist eagerly, even in batched
+  // mode — recovery walks them before any flush_metadata could run.
   const uint64_t old_head = root_->heads[static_cast<int>(t)];
-  std::memset(c, 0, g.chunk_bytes);
   c->header = ChunkHdr::make(0, 0, kIndAvailable);
   c->pnext = old_head;
-  arena_.trace_store(c, g.chunk_bytes);
-  arena_.persist(c, g.chunk_bytes);
+  arena_.trace_store(c, sizeof(MemChunk));
+  arena_.persist(c, sizeof(MemChunk));
   root_->heads[static_cast<int>(t)] = off;
   persist_head(t);
   set_prev_locked(st, off, 0);

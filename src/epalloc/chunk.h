@@ -1,7 +1,11 @@
 // Memory-chunk layout of EPallocator (paper Fig. 2 / Fig. 3).
 //
-// A chunk is: [ 8-byte chunk header | 8-byte PNext | 56 objects ].
-// The chunk header packs, in one failure-atomically updatable 64-bit word:
+// A chunk is: [ 8-byte chunk header | 8-byte PNext | 48 bytes unused |
+// 56 objects ]. The first cache line holds only the header and PNext, so
+// objects start on a line boundary; every object size (32-byte leaves,
+// 8/16/32/64-byte values) divides 64, so no object straddles two lines and
+// one persist of an object flushes exactly one line. The chunk header
+// packs, in one failure-atomically updatable 64-bit word:
 //   bits  0..55  object bitmap (1 = used)
 //   bits 56..61  index of the next free object (allocation hint)
 //   bits 62..63  full indicator: 00 = has a free object, 01 = full,
@@ -81,12 +85,12 @@ struct ChunkHdr {
   }
 };
 
-/// The persistent chunk object. Objects follow immediately after.
+/// The persistent chunk object. Objects start at the next cache line.
 struct MemChunk {
   uint64_t header;  // see ChunkHdr
   uint64_t pnext;   // arena offset of the next chunk in the list; 0 = end
 
-  static constexpr uint64_t kObjectsOffset = 16;
+  static constexpr uint64_t kObjectsOffset = pmem::kCacheLine;
 };
 static_assert(sizeof(MemChunk) == 16);
 

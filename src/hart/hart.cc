@@ -157,19 +157,17 @@ common::Status Hart::insert(std::string_view key, std::string_view value) {
   arena_.trace_store(vp, value_object_size(vcls));
   arena_.persist(vp, value_object_size(vcls));
 
-  // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, its length,
-  // the fingerprint and the value word (p_value = &value with its length
-  // and class) go into the leaf, then one persistent() covers the whole
-  // leaf. The leaf bit is still clear, so none of it means anything yet.
+  // Lines 13 and 15-16, fused (DESIGN.md §1): the complete key, NUL-padded
+  // (the slot was never zeroed, and the padding is what gives the key its
+  // length), and the value word (p_value = &value with its length and
+  // class) go into the leaf, then one persistent() covers the whole leaf,
+  // one cache line. The leaf bit is still clear, so none of it means
+  // anything yet.
   auto* leaf = arena_.ptr<HartLeaf>(leaf_off);
   std::memcpy(leaf->key, key.data(), key.size());
-  leaf->key_len = static_cast<uint8_t>(key.size());
-  // Recovery re-tags the DRAM tree from the persisted fingerprint.
-  leaf->key_fp = art::key_fingerprint(akey);
+  std::memset(leaf->key + key.size(), 0, sizeof(leaf->key) - key.size());
   leaf->p_value = ValueRef::pack(val_off, value.size(), vcls);
-  arena_.trace_store(leaf->key, key.size());
-  arena_.trace_store(&leaf->key_len,
-                     sizeof(HartLeaf) - offsetof(HartLeaf, key_len));
+  arena_.trace_store(leaf, sizeof(HartLeaf));
   arena_.persist(leaf, sizeof(HartLeaf));
 
   // Line 14, without its persist: the value has no persistent bit. It is
@@ -350,7 +348,7 @@ size_t Hart::range(
       return true;
     std::string val;
     copy_value(leaf, &val);
-    out->emplace_back(std::string(leaf->key, leaf->key_len), std::move(val));
+    out->emplace_back(leaf_key(leaf), std::move(val));
     return out->size() < limit;
   };
 
@@ -383,8 +381,7 @@ size_t Hart::range(
           return true;
         std::string val;
         copy_value(leaf, &val);
-        staging.emplace_back(std::string(leaf->key, leaf->key_len),
-                             std::move(val));
+        staging.emplace_back(leaf_key(leaf), std::move(val));
         return out->size() + staging.size() < limit;
       };
       part->hkey == hlo ? part->tree.for_each_from(art_key(lo), emit)
@@ -567,18 +564,9 @@ void Hart::recover(unsigned threads) {
                                std::to_string(leaf_off) +
                                " has a bad value class");
     ep_.mark_live(ValueRef::cls(w), ValueRef::off(w));
-    // Fingerprint fix-up: the DRAM-side tag is re-derived from the key
-    // bytes by tree.insert below; the persisted copy is repaired here when
-    // a legacy image (key_fp == 0) or corruption disagrees. Each leaf is
-    // visited by exactly one recovery worker, so the plain store is safe.
-    const uint8_t want_fp = art::key_fingerprint(traits.key(leaf));
-    if (leaf->key_fp != want_fp) {
-      leaf->key_fp = want_fp;
-      arena_.trace_store(&leaf->key_fp, sizeof(leaf->key_fp));
-      arena_.persist(&leaf->key_fp, sizeof(leaf->key_fp));
-    }
-    const uint64_t hkey = pack_hash_key(
-        std::string_view(leaf->key, leaf->key_len), opts_.hash_key_len);
+    // The DRAM fingerprint tag is derived from the key bytes by tree.insert
+    // below; PM holds no copy, so recovery writes nothing to the leaf.
+    const uint64_t hkey = pack_hash_key(leaf_key(leaf), opts_.hash_key_len);
     HashDir::Partition* part = dir_.find_or_create(hkey);
     if (threads > 1) {
       common::WriterLock lk(part->mu);

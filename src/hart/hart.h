@@ -33,9 +33,10 @@ inline constexpr uint64_t kHartRootMagic = 0x48415254'524f4f54ULL;
 /// log slots in the root), written before the field existed; 1 is the
 /// log-free layout with the packed value word (ValueRef); 2 drops the
 /// value objects' persistent allocation bits (a value is live exactly when
-/// a live leaf names it). An image of any other format is refused, not
-/// upgraded.
-inline constexpr uint32_t kHartFormatVersion = 2;
+/// a live leaf names it); 3 is the 32-byte NUL-padded leaf (no key length,
+/// no persisted fingerprint) in chunks whose objects start on a cache
+/// line. An image of any other format is refused, not upgraded.
+inline constexpr uint32_t kHartFormatVersion = 3;
 
 /// Persistent root of a HART instance, stored in the arena header. Contains
 /// everything needed to recover: the EPallocator chunk lists (the leaf list
@@ -86,10 +87,9 @@ class Hart final : public common::Index {
     bool rwlock_reads = false;
     /// One-byte key fingerprints (FPTree-style) in every tagged leaf
     /// pointer, checked before the leaf's PM key bytes are read — misses
-    /// and hash-collision probes skip PM entirely. The persisted copy
-    /// lives in HartLeaf::key_fp (written with the leaf tail, no extra
-    /// flush); recovery rebuilds the DRAM tags from the key bytes. Off is
-    /// the ablation baseline.
+    /// and hash-collision probes skip PM entirely. PM holds no copy:
+    /// recovery derives every tag from the leaf's key bytes. Off is the
+    /// ablation baseline.
     bool fingerprints = true;
     /// PM allocator knobs: stripe count, and whether an insert's leaf-bit
     /// persist batches onto the flush_epoch() fence. Bare Hart
@@ -173,7 +173,7 @@ class Hart final : public common::Index {
   void for_each_key(F&& fn) const {
     ep_.for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
       const auto* leaf = arena_.ptr<HartLeaf>(off);
-      fn(std::string_view(leaf->key, leaf->key_len));
+      fn(leaf_key(leaf));
     });
   }
 

@@ -16,6 +16,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 
 #include "common/index.h"
 #include "epalloc/chunk.h"
@@ -56,22 +58,26 @@ struct ValueRef {
   }
 };
 
+/// A leaf is 32 bytes: the key, NUL-padded to kMaxKeyLen, and the value
+/// word. Chunk objects start on a cache line and 32 divides 64, so a leaf
+/// never straddles two lines: its persist flushes one line, and a key read
+/// touches one. Keys never contain NUL (common::validate_key), so the key's
+/// length is its strnlen, and no length or fingerprint byte is stored; the
+/// fingerprint tags in DRAM are derived from the key bytes.
 struct HartLeaf {
-  char key[common::kMaxKeyLen];       // complete key (hash prefix + ART key)
-  uint8_t key_len;                    // 1..24
-  // One-byte fingerprint of the leaf's ART key (FPTree-style; never 0 when
-  // set, 0 = unset). Written with the rest of the leaf before the insert's
-  // leaf persist, so it needs no extra flush; recovery re-derives the
-  // DRAM-side fingerprint tags from it (or from the key bytes, fixing the
-  // persisted copy if it disagrees).
-  uint8_t key_fp;
-  uint8_t reserved[6];
+  char key[common::kMaxKeyLen];  // complete key (hash prefix + ART key)
   // The packed value word (ValueRef). Written with one atomic store.
   uint64_t p_value;
 };
-static_assert(sizeof(HartLeaf) == 40);
+static_assert(sizeof(HartLeaf) == 32);
+static_assert(pmem::kCacheLine % sizeof(HartLeaf) == 0);
 static_assert(offsetof(HartLeaf, p_value) % alignof(uint64_t) == 0);
 static_assert(std::is_trivially_copyable_v<HartLeaf>);
+
+/// The leaf's complete key: the bytes before its NUL padding.
+inline std::string_view leaf_key(const HartLeaf* l) {
+  return {l->key, ::strnlen(l->key, common::kMaxKeyLen)};
+}
 
 inline epalloc::ObjType value_class_for(size_t len) {
   return epalloc::value_class_for_len(len);

@@ -38,14 +38,14 @@ struct HartLeafTraits {
   const pmem::Arena* arena = nullptr;
 
   art::Key key(const Leaf* l) const {
-    // Charge only the immutable key region (key bytes + key_len). The
-    // value word is concurrently stored by in-place updates and is read
-    // separately with one acquire load; including it here would race
-    // PmCheck's plain-byte shadow compare.
-    if (arena != nullptr) arena->pm_read(l, offsetof(HartLeaf, key_fp));
-    const uint32_t h = kh < l->key_len ? kh : l->key_len;
-    return {reinterpret_cast<const uint8_t*>(l->key) + h,
-            static_cast<size_t>(l->key_len - h)};
+    // Charge only the immutable key bytes (one line: a leaf never
+    // straddles two). The value word is concurrently stored by in-place
+    // updates and is read separately with one acquire load; including it
+    // here would race PmCheck's plain-byte shadow compare.
+    if (arena != nullptr) arena->pm_read(l, sizeof(l->key));
+    const std::string_view k = leaf_key(l);
+    const size_t h = kh < k.size() ? kh : k.size();
+    return {reinterpret_cast<const uint8_t*>(k.data()) + h, k.size() - h};
   }
 };
 

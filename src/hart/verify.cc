@@ -1,7 +1,7 @@
 #include "hart/verify.h"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -158,34 +158,21 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
       const uint64_t leaf_off = geoms[0].object_off(c_off, i);
       const auto* leaf = arena.ptr<HartLeaf>(leaf_off);
       ++report.live_leaves;
-      if (leaf->key_len == 0 || leaf->key_len > common::kMaxKeyLen) {
-        ctx.error("leaf " + hex(leaf_off) + ": bad key length " +
-                  std::to_string(leaf->key_len));
-      } else if (std::memchr(leaf->key, 0, leaf->key_len) != nullptr) {
-        ctx.error("leaf " + hex(leaf_off) + ": key contains NUL");
+      const std::string_view key = leaf_key(leaf);
+      if (key.empty()) {
+        ctx.error("leaf " + hex(leaf_off) + ": empty key");
+      } else if (std::any_of(leaf->key + key.size(),
+                             leaf->key + common::kMaxKeyLen,
+                             [](char ch) { return ch != 0; })) {
+        // V3: the length is the strnlen, so a stray byte after the first
+        // NUL would be a key no insert wrote.
+        ctx.error("leaf " + hex(leaf_off) + ": key padding is not NUL");
       } else {
         // V5: one live leaf per key.
-        auto [it, fresh] = key_owner.emplace(
-            std::string(leaf->key, leaf->key_len), leaf_off);
+        auto [it, fresh] = key_owner.emplace(std::string(key), leaf_off);
         if (!fresh)
           ctx.error("key \"" + it->first + "\" carried by two live leaves " +
                     hex(it->second) + " and " + hex(leaf_off));
-        if (leaf->key_fp != 0) {
-          // V3 (fingerprint): a nonzero persisted fingerprint must match
-          // the one derived from the key bytes after the hash prefix
-          // (0 = legacy/unset image, repaired lazily by recovery).
-          const uint32_t kh = root->hash_key_len < leaf->key_len
-                                  ? root->hash_key_len
-                                  : leaf->key_len;
-          const art::Key ak{
-              reinterpret_cast<const uint8_t*>(leaf->key) + kh,
-              static_cast<size_t>(leaf->key_len - kh)};
-          if (leaf->key_fp != art::key_fingerprint(ak))
-            ctx.error("leaf " + hex(leaf_off) +
-                      ": key fingerprint mismatch (stored " +
-                      std::to_string(leaf->key_fp) + ", derived " +
-                      std::to_string(art::key_fingerprint(ak)) + ")");
-        }
       }
       const uint64_t w = leaf->p_value;
       if (ValueRef::class_tag(w) > 3) {

@@ -12,9 +12,9 @@
 //   V2  every chunk list is acyclic, in-bounds, stride-aligned, and chunk
 //       headers have a consistent full-indicator / bitmap / hint; value
 //       chunk headers carry no bits (values have no persistent bit);
-//   V3  every live leaf has a well-formed key (1..24 bytes, no NUL, a
-//       matching fingerprint) and a well-formed value reference (an object
-//       slot in a chunk of the recorded class, a length that fits it);
+//   V3  every live leaf has a well-formed key (1..24 bytes, NUL-padded to
+//       24) and a well-formed value reference (an object slot in a chunk
+//       of the recorded class, a length that fits it);
 //   V4  no two live leaves share a value object;
 //   V5  no two live leaves carry the same key;
 //   V6  the recycle log is either empty or internally consistent.

@@ -95,6 +95,11 @@ class Arena {
 
   [[nodiscard]] size_t size() const { return opts_.size; }
   [[nodiscard]] bool reopened() const { return reopened_; }
+  /// The backing file as opened (resolve_file_path() applied); empty for
+  /// an anonymous arena.
+  [[nodiscard]] const std::string& file_path() const {
+    return opts_.file_path;
+  }
   [[nodiscard]] const LatencyConfig& latency() const { return opts_.latency; }
   Stats& stats() { return stats_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -95,6 +95,42 @@ TEST(AllocParity, FormatOneImageIsRefused) {
   EXPECT_FALSE(verify_hart_image(*arena).ok());
 }
 
+TEST(AllocParity, FormatTwoImageIsRefused) {
+  // Format 2 kept 40-byte leaves 16 bytes into their chunk: this build
+  // would misread every slot, so it refuses the image and writes nothing.
+  const std::string path = pmem::Arena::resolve_file_path(
+      "alloc_parity_format2_" + std::to_string(::getpid()) + ".pm");
+  std::remove(path.c_str());
+  pmem::Arena::Options o;
+  o.size = size_t{8} << 20;
+  o.file_path = path;
+  o.charge_alloc_persist = false;
+  {
+    auto arena = testutil::make_checked_arena(o);
+    Hart h(*arena);
+    for (int i = 0; i < 100; ++i)
+      ASSERT_EQ(h.insert("key" + std::to_string(i), "value"),
+                common::Status::kInserted);
+    arena->root<HartRoot>()->format = 2;
+  }
+  const std::string before = file_bytes(path);
+  {
+    auto arena = testutil::make_checked_arena(o);
+    ASSERT_TRUE(arena->reopened());
+    try {
+      Hart h(*arena);
+      ADD_FAILURE() << "a format-2 image must be refused";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(e.status(), common::Status::kUnsupportedFormat);
+      EXPECT_EQ(e.found_format(), 2u);
+    }
+    EXPECT_EQ(arena->persist_count(), 0u);
+    EXPECT_FALSE(verify_hart_image(*arena).ok());
+  }
+  EXPECT_EQ(file_bytes(path), before) << "the refused image changed";
+  std::remove(path.c_str());
+}
+
 // A batched delete is durable before the fence: its one persist, the leaf
 // bit's clear, is eager in both schedules. Fence a populated tree, delete
 // one key without fencing, crash; recovery finds the key gone and nothing

@@ -19,8 +19,8 @@
 namespace hart::epalloc {
 namespace {
 
-// A stand-in for HART's 40-byte leaf.
-constexpr uint32_t kLeafSize = 40;
+// A stand-in for HART's 32-byte leaf.
+constexpr uint32_t kLeafSize = 32;
 
 struct Root {
   uint64_t magic;
@@ -76,21 +76,41 @@ TEST(ChunkHdr, WithBitSetsFullIndicatorAtCapacity) {
 }
 
 TEST(TypeGeometry, StridesArePowerOfTwoAndContainChunk) {
-  for (uint32_t sz : {8u, 16u, 40u, 48u, 64u}) {
+  for (uint32_t sz : {8u, 16u, 32u, 40u, 48u, 64u}) {
     const auto g = TypeGeometry::for_obj_size(sz);
-    EXPECT_EQ(g.chunk_bytes, 16 + uint64_t{sz} * 56);
+    // The first line holds only the header and PNext.
+    EXPECT_EQ(g.chunk_bytes, 64 + uint64_t{sz} * 56);
+    EXPECT_EQ(g.object_off(0, 0), 64u);
     EXPECT_GE(g.stride, g.chunk_bytes);
     EXPECT_EQ(g.stride & (g.stride - 1), 0u);
   }
 }
 
 TEST(TypeGeometry, ChunkOfAndIndexOfInvertObjectOff) {
-  const auto g = TypeGeometry::for_obj_size(40);
+  const auto g = TypeGeometry::for_obj_size(kLeafSize);
   const uint64_t chunk = 13 * g.stride;
   for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
     const uint64_t obj = g.object_off(chunk, i);
     EXPECT_EQ(g.chunk_of(obj), chunk);
     EXPECT_EQ(g.index_of(obj), i);
+  }
+}
+
+TEST_F(EPAllocTest, EveryObjectSlotSitsInOneCacheLine) {
+  // Objects start on a line boundary and every size divides 64, so one
+  // persist of an object flushes one line and one read touches one.
+  for (int ti = 0; ti < kNumObjTypes; ++ti) {
+    const auto t = static_cast<ObjType>(ti);
+    const uint32_t sz = ep_->geom(t).obj_size;
+    std::set<uint64_t> slots;
+    for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
+      const uint64_t o = reserve(*ep_, t);
+      slots.insert(o);
+      EXPECT_EQ(o / pmem::kCacheLine, (o + sz - 1) / pmem::kCacheLine)
+          << "type " << ti << " slot " << i << " at " << o;
+    }
+    EXPECT_EQ(slots.size(), kObjectsPerChunk);
+    EXPECT_EQ(ep_->chunk_count(t), 1u) << "type " << ti;
   }
 }
 

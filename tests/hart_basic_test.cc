@@ -266,6 +266,50 @@ TEST(Hart, PersistCallsPerInsertAreBounded) {
   EXPECT_EQ(arena->stats().pm_read_lines.load() - lines, 0u);
 }
 
+TEST(Hart, FlushedLinesPerOpAreBounded) {
+  // The PM write delta is charged per flushed line. Every PM object sits
+  // in one cache line, so on a warmed arena an insert flushes exactly
+  // three lines (value, leaf, leaf bit), an update two (new value, value
+  // word) and a delete one (leaf bit). A deferred-latency arena banks each
+  // line's write delta, so the owed time counts the lines; PM reads add
+  // nothing (read latency equals DRAM's).
+  pmem::Arena::Options o;
+  o.size = 64 << 20;
+  o.charge_alloc_persist = false;
+  o.latency = pmem::LatencyConfig::c300_100();
+  o.defer_latency = true;
+  pmem::Arena arena(o);
+  const uint64_t line_ns = o.latency.extra_write_ns();
+  ASSERT_GT(line_ns, 0u);
+  Hart h(arena, testutil::hart_options());
+  // Warm up the leaf, 8-byte and 64-byte value chunks (64-byte values
+  // used to straddle two lines), then free every other slot of each.
+  const std::string v64(64, 'x');
+  for (int i = 0; i < 400; ++i)
+    h.insert("warm" + std::to_string(i), i % 4 < 2 ? "v" : v64);
+  for (int i = 0; i < 400; i += 2) h.remove("warm" + std::to_string(i));
+  h.quiesce();
+  auto lines_since = [&](uint64_t start) {
+    const uint64_t owed = arena.owed_latency_ns() - start;
+    EXPECT_EQ(owed % line_ns, 0u);
+    return owed / line_ns;
+  };
+  uint64_t owed = arena.owed_latency_ns();
+  for (int i = 0; i < 50; ++i)
+    h.insert("probe" + std::to_string(i), i % 2 == 0 ? "v" : v64);
+  EXPECT_EQ(lines_since(owed), 3u * 50);
+
+  owed = arena.owed_latency_ns();
+  for (int i = 0; i < 50; ++i)
+    h.update("probe" + std::to_string(i), i % 2 == 0 ? v64 : "w");
+  EXPECT_EQ(lines_since(owed), 2u * 50);
+
+  owed = arena.owed_latency_ns();
+  for (int i = 0; i < 50; i += 2)
+    EXPECT_EQ(h.remove("probe" + std::to_string(i)), common::Status::kOk);
+  EXPECT_EQ(lines_since(owed), 1u * 25);
+}
+
 TEST(Hart, BatchedMetadataUpdateCostsTwoPersists) {
   // An update persists only its new value and its value word, in either
   // metadata schedule: no chunk header changes, so the next fence has no

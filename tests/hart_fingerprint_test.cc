@@ -1,9 +1,10 @@
 // Fingerprint-guard tests (Hart::Options::fingerprints): the one-byte key
-// fingerprint rides in the tagged leaf pointer (DRAM) and HartLeaf::key_fp
-// (PM). The guard must (a) never produce a false negative — a colliding
+// fingerprint rides in the tagged leaf pointer (DRAM only; PM holds no
+// copy). The guard must (a) never produce a false negative — a colliding
 // fingerprint still resolves through the full key compare; (b) actually
 // skip the PM key read on guarded misses; (c) survive a restart, with
-// recovery repairing any corrupted persisted copy.
+// recovery deriving every tag from the leaf's key bytes and writing
+// nothing to PM.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -14,7 +15,6 @@
 #include "art/art_tree.h"
 #include "common/rng.h"
 #include "hart/hart.h"
-#include "hart/hart_leaf.h"
 #include "hart/verify.h"
 #include "obs/counters.h"
 
@@ -53,21 +53,51 @@ TEST(HartFingerprint, FingerprintIsNeverZero) {
   EXPECT_NE(art::key_fingerprint(art::Key{}), 0) << "empty suffix";
 }
 
-TEST(HartFingerprint, PersistedFingerprintsMatchDerivation) {
+/// 200 keys of the "QQ" partition whose fingerprint differs from `live`'s:
+/// searching them with the guard on must read no PM line when `live` is
+/// the partition's only key.
+std::vector<std::string> guarded_probes(const std::string& live) {
+  std::vector<std::string> probes;
+  const uint8_t live_fp = art::key_fingerprint(suffix_key(live, 2));
+  for (uint64_t i = 0; probes.size() < 200; ++i) {
+    std::string cand = "QQprobe-" + std::to_string(i);
+    if (art::key_fingerprint(suffix_key(cand, 2)) != live_fp)
+      probes.push_back(std::move(cand));
+  }
+  return probes;
+}
+
+/// PM lines read by searching every probe (each must miss).
+uint64_t probe_read_lines(const Hart& h, const pmem::Arena& arena,
+                          const std::vector<std::string>& probes) {
+  const uint64_t before =
+      arena.stats().pm_read_lines.load(std::memory_order_relaxed);
+  std::string v;
+  for (const auto& p : probes)
+    EXPECT_EQ(h.search(p, &v).code(), common::Status::kNotFound) << p;
+  return arena.stats().pm_read_lines.load(std::memory_order_relaxed) -
+         before;
+}
+
+TEST(HartFingerprint, RecoveryDerivesTagsFromKeyBytesAndPersistsNothing) {
+  // PM holds no fingerprint: recovery re-tags every leaf from its key
+  // bytes and writes nothing. A wrong tag would turn a hit into a miss, an
+  // unset one would make guarded misses read PM.
   pmem::Arena arena(small_arena());
   Hart h(arena);
-  const auto keys = random_keys(500, 3);
+  const std::string live = "QQresident-key";
+  auto keys = random_keys(500, 3);
+  keys.push_back(live);
   for (const auto& key : keys) ASSERT_TRUE(h.insert(key, "v").ok());
-  size_t seen = 0;
-  h.allocator().for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
-    const auto* leaf = arena.ptr<HartLeaf>(off);
-    const std::string key(leaf->key, leaf->key_len);
-    EXPECT_EQ(leaf->key_fp,
-              art::key_fingerprint(suffix_key(key, h.hash_key_len())))
-        << key;
-    ++seen;
-  });
-  EXPECT_EQ(seen, keys.size());
+  const auto probes = guarded_probes(live);
+  for (const unsigned threads : {1u, 4u}) {
+    const uint64_t persists = arena.persist_count();
+    h.recover(threads);
+    EXPECT_EQ(arena.persist_count(), persists) << threads << " threads";
+    std::string v;
+    for (const auto& key : keys) EXPECT_TRUE(h.search(key, &v).ok()) << key;
+    EXPECT_EQ(probe_read_lines(h, arena, probes), 0u) << threads;
+  }
   EXPECT_TRUE(verify_hart_image(arena).ok());
 }
 
@@ -106,13 +136,7 @@ TEST(HartFingerprint, GuardSkipsPmKeyReadsOnMisses) {
   // touch the PM key bytes at all; the unguarded tree reads them on every
   // miss to run the full compare.
   const std::string live = "QQresident-key";
-  std::vector<std::string> probes;
-  const uint8_t live_fp = art::key_fingerprint(suffix_key(live, 2));
-  for (uint64_t i = 0; probes.size() < 200; ++i) {
-    std::string cand = "QQprobe-" + std::to_string(i);
-    if (art::key_fingerprint(suffix_key(cand, 2)) != live_fp)
-      probes.push_back(std::move(cand));
-  }
+  const auto probes = guarded_probes(live);
 
   auto miss_read_lines = [&](bool fingerprints) {
     pmem::Arena arena(small_arena());
@@ -120,13 +144,7 @@ TEST(HartFingerprint, GuardSkipsPmKeyReadsOnMisses) {
     o.fingerprints = fingerprints;
     Hart h(arena, o);
     EXPECT_TRUE(h.insert(live, "v").ok());
-    const uint64_t before =
-        arena.stats().pm_read_lines.load(std::memory_order_relaxed);
-    std::string v;
-    for (const auto& p : probes)
-      EXPECT_EQ(h.search(p, &v).code(), common::Status::kNotFound);
-    return arena.stats().pm_read_lines.load(std::memory_order_relaxed) -
-           before;
+    return probe_read_lines(h, arena, probes);
   };
 
   auto& skips =
@@ -172,7 +190,7 @@ TEST(HartFingerprint, OnOffParityOverMixedOps) {
   EXPECT_EQ(h_on.size(), h_off.size());
 }
 
-TEST(HartFingerprint, RestartPreservesAndRecoveryRepairsFingerprints) {
+TEST(HartFingerprint, RestartDerivesTagsAndPersistsNothing) {
   const std::string path = testing::TempDir() + "hart_fp_restart.arena";
   std::filesystem::remove(path);
   auto file_arena = [&] {
@@ -181,7 +199,9 @@ TEST(HartFingerprint, RestartPreservesAndRecoveryRepairsFingerprints) {
     o.file_path = path;
     return o;
   };
-  const auto keys = random_keys(200, 23);
+  const std::string live = "QQresident-key";
+  auto keys = random_keys(200, 23);
+  keys.push_back(live);
   {
     pmem::Arena arena(file_arena());
     Hart h(arena);
@@ -190,27 +210,15 @@ TEST(HartFingerprint, RestartPreservesAndRecoveryRepairsFingerprints) {
   }
   pmem::Arena arena(file_arena());
   ASSERT_TRUE(arena.reopened());
+  const uint64_t persists = arena.persist_count();
   Hart h(arena);  // recovery
+  EXPECT_EQ(arena.persist_count(), persists) << "recovery wrote to PM";
   std::string v;
   for (const auto& key : keys) ASSERT_TRUE(h.search(key, &v).ok());
-
-  // Corrupt one persisted fingerprint to a wrong nonzero value: the
-  // verifier must flag it, and a recovery pass must repair it.
-  uint64_t victim = 0;
-  h.allocator().for_each_live(epalloc::ObjType::kLeaf,
-                              [&](uint64_t off) { victim = off; });
-  ASSERT_NE(victim, 0u);
-  auto* leaf = arena.ptr<HartLeaf>(victim);
-  const uint8_t good = leaf->key_fp;
-  uint8_t bad = good ^ 0x5A;
-  if (bad == 0) bad = 0xA5;
-  leaf->key_fp = bad;
-  EXPECT_FALSE(verify_hart_image(arena).ok());
-
+  EXPECT_EQ(probe_read_lines(h, arena, guarded_probes(live)), 0u);
   h.recover();
-  EXPECT_EQ(leaf->key_fp, good);
+  EXPECT_EQ(arena.persist_count(), persists);
   EXPECT_TRUE(verify_hart_image(arena).ok());
-  for (const auto& key : keys) ASSERT_TRUE(h.search(key, &v).ok());
 }
 
 }  // namespace

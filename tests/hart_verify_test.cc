@@ -126,14 +126,21 @@ TEST_F(VerifyCorruption, DetectsInconsistentFullIndicator) {
 }
 
 TEST_F(VerifyCorruption, DetectsBadLeafKey) {
-  // Find a live leaf in the head chunk and damage its key length.
+  // Find a live leaf in the head chunk and put a byte into its NUL
+  // padding, after the key's terminating NUL.
   const auto g =
       epalloc::TypeGeometry::for_obj_size(sizeof(HartLeaf));
   auto* c = arena_->ptr<epalloc::MemChunk>(leaf_chunk());
   const auto idx = static_cast<uint32_t>(
       std::countr_zero(epalloc::ChunkHdr::bitmap(c->header)));
   auto* leaf = arena_->ptr<HartLeaf>(g.object_off(leaf_chunk(), idx));
-  leaf->key_len = 200;
+  const size_t len = leaf_key(leaf).size();
+  ASSERT_LT(len + 1, sizeof(leaf->key)) << "the key leaves padding";
+  leaf->key[len + 1] = 'x';
+  EXPECT_FALSE(verify_hart_image(*arena_).ok());
+  leaf->key[len + 1] = 0;
+  EXPECT_TRUE(verify_hart_image(*arena_).ok());
+  leaf->key[0] = 0;  // an empty key
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
 }
 

@@ -9,6 +9,7 @@
 // the listener, the tick loop, and shutdown reporting.
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -67,10 +68,18 @@ int main(int argc, char** argv) {
         std::fclose(f);
       }
     }
+    // Where the shard files really are: a relative --arena-dir resolves
+    // under HART_ARENA_DIR (or the temp directory), like any arena path.
+    const std::string arenas =
+        cfg.service.arena_dir.empty()
+            ? ", in-memory arenas"
+            : ", file-backed in " +
+                  std::filesystem::path(db.shard(0).hart().arena().file_path())
+                      .parent_path()
+                      .string();
     std::printf(
         "hartd: listening on 127.0.0.1:%u — %zu shard(s), batch %zu%s%s\n",
-        tcp.port(), db.shard_count(), cfg.service.batch_size,
-        cfg.service.arena_dir.empty() ? ", in-memory arenas" : ", file-backed",
+        tcp.port(), db.shard_count(), cfg.service.batch_size, arenas.c_str(),
         recovered ? " (recovered existing shards)" : "");
     std::printf("hartd: allocator %s, %u stripe(s) per shard\n",
                 db.shard(0).hart().allocator().kind_name(),
