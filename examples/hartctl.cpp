@@ -75,6 +75,8 @@ int run(int argc, char** argv) {
     t.add_row({"records", std::to_string(index.size())});
     t.add_row({"ARTs (hash partitions)",
                std::to_string(index.partition_count())});
+    t.add_row({"hash directory slots",
+               std::to_string(index.directory_capacity())});
     t.add_row({"hash key length (kh)",
                std::to_string(index.hash_key_len())});
     t.add_row({"PM bytes", std::to_string(mem.pm_bytes)});

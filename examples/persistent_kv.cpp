@@ -72,7 +72,9 @@ int run(int argc, char** argv) {
     if (cmd == "stats" && argc == 3) {
       const auto mem = index.memory_usage();
       std::cout << "records:     " << index.size() << "\n"
-                << "ARTs:        " << index.partition_count() << "\n"
+                << "ARTs:        " << index.partition_count()
+                << " (directory slots: " << index.directory_capacity()
+                << ")\n"
                 << "PM bytes:    " << mem.pm_bytes << "\n"
                 << "DRAM bytes:  " << mem.dram_bytes << "\n"
                 << "(re-opened:  " << (arena.reopened() ? "yes" : "no")

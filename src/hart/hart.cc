@@ -71,8 +71,6 @@ Hart::Options Hart::resolve_options(pmem::Arena& arena, Options opts) {
   }
   if (opts.hash_key_len > 8)
     throw std::invalid_argument("hash_key_len must be <= 8");
-  if ((opts.hash_buckets & (opts.hash_buckets - 1)) != 0)
-    throw std::invalid_argument("hash_buckets must be a power of two");
   return opts;
 }
 
@@ -81,9 +79,7 @@ Hart::Hart(pmem::Arena& arena, Options opts)
       opts_(resolve_options(arena, opts)),
       root_(arena.root<HartRoot>()),
       ep_(arena, &root_->ep, sizeof(HartLeaf), opts_.alloc),
-      dir_(opts_.hash_buckets,
-           HartLeafTraits{opts_.hash_key_len, &arena},
-           &dram_bytes_,
+      dir_(HartLeafTraits{opts_.hash_key_len, &arena}, &dram_bytes_,
            opts_.rwlock_reads ? nullptr : &common::ebr::Domain::instance(),
            opts_.fingerprints) {
   if (root_->magic == kHartMagic) {

@@ -78,8 +78,6 @@ class Hart final : public common::Index {
     /// kh: number of key bytes consumed by the hash table (paper default 2;
     /// 0 degenerates to a single ART — the "no hash assist" ablation).
     uint32_t hash_key_len = 2;
-    /// Bucket count of the DRAM hash table (power of two).
-    size_t hash_buckets = size_t{1} << 16;
     /// Ablation: take the paper's per-ART reader/writer lock on the read
     /// side (Section III.A.3) instead of the optimistic lock-free read
     /// path. Reads then never retry, but serialize against writers; node
@@ -139,8 +137,9 @@ class Hart final : public common::Index {
   /// the recovery experiment (Fig. 10c) and crash tests.
   ///
   /// `threads > 1` distributes the leaf chunks over worker threads (an
-  /// extension beyond the paper — safe because partition creation is
-  /// lock-free and every tree insert takes its partition's write lock).
+  /// extension beyond the paper — safe because partition creation takes
+  /// the directory mutex and every tree insert takes its partition's
+  /// write lock).
   void recover(unsigned threads = 1);
 
   /// Group-commit epoch fence (the service layer's batching hook): flushes
@@ -181,6 +180,8 @@ class Hart final : public common::Index {
   [[nodiscard]] size_t partition_count() const {
     return dir_.partition_count();
   }
+  /// Slots in the hash directory's table (grows with partition_count()).
+  [[nodiscard]] size_t directory_capacity() const { return dir_.capacity(); }
   [[nodiscard]] epalloc::Allocator& allocator() { return ep_; }
   [[nodiscard]] const epalloc::Allocator& allocator() const { return ep_; }
   [[nodiscard]] pmem::Arena& arena() { return arena_; }

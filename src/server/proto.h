@@ -557,7 +557,7 @@ inline int take_frame(std::string_view buf, size_t* pos,
 }
 
 /// Key -> shard partitioning hash (FNV-1a over the whole key; independent
-/// of both the HashDir bucket hash and the hash-key prefix, so shard
+/// of both the HashDir slot hash and the hash-key prefix, so shard
 /// balance does not correlate with partition balance).
 inline uint64_t shard_hash(std::string_view key) {
   uint64_t h = 1469598103934665603ULL;

@@ -43,6 +43,13 @@ void collect_stats(const Hartd& d, obs::Registry::Sample* counters,
     counters->emplace_back("hartd_shard_batches_total{" + lbl + "}",
                            s_batches);
     counters->emplace_back("hartd_shard_epochs_total{" + lbl + "}", s_epochs);
+    // DRAM footprint of the shard's tree (hash directory + ART internal
+    // nodes) and its partition count: the live view of the per-key DRAM
+    // cost the benchmark reports.
+    counters->emplace_back("hartd_shard_dram_bytes{" + lbl + "}",
+                           s.hart().memory_usage().dram_bytes);
+    counters->emplace_back("hartd_shard_partitions{" + lbl + "}",
+                           s.hart().partition_count());
 
     const ShardHistograms sh = s.histograms();
     for (size_t o = 0; o < ShardHistograms::kOps; ++o) {

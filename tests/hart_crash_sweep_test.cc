@@ -211,7 +211,6 @@ constexpr size_t kMaxEnumeratedLines = 4;
 
 Hart::Options hart_options(const SweepConfig& cfg) {
   Hart::Options o;
-  o.hash_buckets = 64;  // a fresh Hart per crash point: keep it cheap
   o.alloc.batched_meta = cfg.batched_meta;
   o.rwlock_reads = cfg.rwlock_reads;
   return o;

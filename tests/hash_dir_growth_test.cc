@@ -1,8 +1,11 @@
 // Concurrent HashDir growth vs readers: partitions are only ever added
-// (never reclaimed), the chains grow by CAS push, and the sorted side
-// directory is what ordered iteration sees. These tests pin down the
-// reader-visible guarantees while writers grow the directory:
+// (never reclaimed), the open-addressing table doubles under the directory
+// mutex while find() probes without a lock, and the ordered map is what
+// ordered iteration sees. These tests pin down the reader-visible
+// guarantees while writers grow the directory:
 //   * find_or_create is idempotent and race-safe (one partition per hkey);
+//   * a lock-free find() never loses a published partition across table
+//     doublings, and never returns another hash key's partition;
 //   * an ordered iteration always sees a sorted, duplicate-free snapshot;
 //   * iterations are monotone: once a completed pass saw a partition,
 //     every later pass sees it too;
@@ -24,7 +27,7 @@ namespace hart::core {
 namespace {
 
 TEST(HashDirGrowthTest, FindOrCreateRaceYieldsOnePartitionPerKey) {
-  HashDir dir(64, HartLeafTraits{}, nullptr);
+  HashDir dir(HartLeafTraits{}, nullptr);
   constexpr int kThreads = 4;
   constexpr uint64_t kKeys = 512;
   std::vector<HashDir::Partition*> first(kKeys, nullptr);
@@ -52,8 +55,51 @@ TEST(HashDirGrowthTest, FindOrCreateRaceYieldsOnePartitionPerKey) {
     EXPECT_EQ(dir.find(k * 7919 + 1), seen[0][k]);
 }
 
+TEST(HashDirGrowthTest, LockFreeFindSurvivesDoublings) {
+  // One writer creates all 3,844 base-62 two-byte prefixes: the table
+  // doubles from 16 to 8,192 slots on the way. Each reader pass snapshots
+  // how many prefixes were published, then finds every one of them.
+  const std::string_view a =
+      "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+  std::vector<uint64_t> hkeys;
+  for (const char x : a)
+    for (const char y : a) hkeys.push_back(pack_hash_key(std::string{x, y}, 2));
+  HashDir dir(HartLeafTraits{}, nullptr);
+  std::atomic<size_t> published{0};
+  std::atomic<size_t> misses{0}, wrong{0}, passes{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      for (;;) {
+        const size_t n = published.load(std::memory_order_acquire);
+        for (size_t i = 0; i < n; ++i) {
+          const HashDir::Partition* p = dir.find(hkeys[i]);
+          if (p == nullptr) {
+            misses.fetch_add(1, std::memory_order_relaxed);
+          } else if (p->hkey != hkeys[i]) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        passes.fetch_add(1, std::memory_order_relaxed);
+        if (n == hkeys.size()) return;
+      }
+    });
+  }
+  for (size_t i = 0; i < hkeys.size(); ++i) {
+    dir.find_or_create(hkeys[i]);
+    published.store(i + 1, std::memory_order_release);
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(misses.load(), 0u) << "a published prefix went missing";
+  EXPECT_EQ(wrong.load(), 0u) << "find() returned another prefix's partition";
+  EXPECT_GE(passes.load(), 3u);
+  EXPECT_EQ(dir.partition_count(), hkeys.size());
+  EXPECT_EQ(dir.capacity(), size_t{8192});
+}
+
 TEST(HashDirGrowthTest, OrderedIterationStaysSortedAndMonotone) {
-  HashDir dir(64, HartLeafTraits{}, nullptr);
+  HashDir dir(HartLeafTraits{}, nullptr);
   constexpr uint64_t kKeys = 4000;
   std::atomic<bool> done{false};
   std::atomic<uint64_t> created{0};
@@ -99,12 +145,11 @@ TEST(HashDirGrowthTest, HartRangeConsistentDuringPrefixGrowth) {
   pmem::Arena::Options ao;
   ao.size = size_t{64} << 20;
   pmem::Arena arena(ao);
-  Hart::Options ho;
-  ho.hash_buckets = 256;  // long chains: growth races get exercised
-  Hart h(arena, ho);
+  Hart h(arena);
 
   // Writer: every key has a fresh 2-byte prefix, so each insert creates a
-  // new partition while the reader is mid-scan.
+  // new partition (and the directory doubles seven times) while the reader
+  // is mid-scan.
   constexpr int kKeys = 26 * 26;
   std::atomic<int> inserted{0};
   std::thread writer([&] {

@@ -1,5 +1,5 @@
 // Unit tests for HART's hash directory: prefix packing, lexicographic
-// ordering of packed prefixes, bucket distribution, concurrent
+// ordering of packed prefixes, probe lengths and table sizing, concurrent
 // find_or_create races, and ordered partition enumeration.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "hart/hart.h"
 #include "hart/hash_dir.h"
 
 namespace hart::core {
@@ -47,7 +48,7 @@ class HashDirTest : public ::testing::Test {
  protected:
   HashDirTest()
       : arena_(tiny()),
-        dir_(1 << 10, HartLeafTraits{2, &arena_}, &dram_) {}
+        dir_(HartLeafTraits{2, &arena_}, &dram_) {}
   pmem::Arena arena_;
   std::atomic<uint64_t> dram_{0};
   HashDir dir_;
@@ -124,23 +125,58 @@ TEST_F(HashDirTest, ConcurrentFindOrCreateYieldsOnePartitionPerKey) {
   EXPECT_EQ(dir_.partition_count(), static_cast<size_t>(kKeys));
 }
 
-TEST_F(HashDirTest, BucketDistributionHasNoPathologicalChains) {
-  // Regression for the packed-prefix hashing bug: prefixes live in the
-  // *top* bytes; the bucket hash must still spread them. With 1024 buckets
-  // and 676 alphabetic prefixes, lookups must stay O(1)-ish — measured
-  // here structurally: creating and finding each of 676 prefixes must not
-  // devolve into chain scans thousands long (which the original
-  // multiply-shift hash produced: everything in bucket 0).
+std::vector<uint64_t> two_letter_prefixes() {
   std::vector<uint64_t> hkeys;
   for (char a = 'a'; a <= 'z'; ++a)
     for (char b = 'a'; b <= 'z'; ++b)
       hkeys.push_back(pack_hash_key(std::string{a, b}, 2));
+  return hkeys;
+}
+
+TEST_F(HashDirTest, ProbeSequencesStayShort) {
+  // Regression for the packed-prefix hashing bug: prefixes live in the
+  // *top* bytes, and the original multiply-shift hash sent all of them to
+  // one slot. With the murmur finalizer and a table at most half full, the
+  // longest linear-probe run over 676 alphabetic prefixes is 6 slots.
+  const std::vector<uint64_t> hkeys = two_letter_prefixes();
   for (const uint64_t hk : hkeys) dir_.find_or_create(hk);
-  // Probe: the longest chain is bounded. We cannot observe chains
-  // directly, so bound total find() work by time-free proxy: every key
-  // findable (correctness) and partition count exact.
-  for (const uint64_t hk : hkeys) EXPECT_NE(dir_.find(hk), nullptr);
+  for (const uint64_t hk : hkeys) ASSERT_NE(dir_.find(hk), nullptr);
   EXPECT_EQ(dir_.partition_count(), hkeys.size());
+  EXPECT_LE(dir_.max_probe(), 12u);
+}
+
+TEST_F(HashDirTest, CapacityTracksPartitionCount) {
+  EXPECT_EQ(dir_.capacity(), HashDir::kInitialCapacity);
+  const std::vector<uint64_t> hkeys = two_letter_prefixes();
+  for (const uint64_t hk : hkeys) dir_.find_or_create(hk);
+  // Doubling past half full keeps the load in (1/4, 1/2].
+  EXPECT_LE(dir_.capacity(), 4 * hkeys.size());
+  EXPECT_GE(dir_.capacity(), 2 * hkeys.size());
+  // Everything the directory holds is counted: shells, map nodes, and the
+  // live table (the superseded ones add less than the live one).
+  EXPECT_GE(dram_.load(), hkeys.size() * sizeof(HashDir::Partition) +
+                              dir_.capacity() * sizeof(void*));
+}
+
+TEST(HashDirFootprint, FreshHartHoldsUnderFourKiB) {
+  pmem::Arena arena(tiny());
+  Hart h(arena);
+  EXPECT_LT(h.memory_usage().dram_bytes, 4096u);
+  EXPECT_EQ(h.directory_capacity(), HashDir::kInitialCapacity);
+}
+
+TEST(HashDirFootprint, DestroyAndClearReturnEveryByte) {
+  pmem::Arena arena(tiny());
+  std::atomic<uint64_t> dram{0};
+  {
+    HashDir dir(HartLeafTraits{2, &arena}, &dram);
+    const uint64_t empty = dram.load();
+    for (const uint64_t hk : two_letter_prefixes()) dir.find_or_create(hk);
+    dir.clear();
+    EXPECT_EQ(dram.load(), empty);
+    EXPECT_EQ(dir.capacity(), HashDir::kInitialCapacity);
+  }
+  EXPECT_EQ(dram.load(), 0u);
 }
 
 TEST_F(HashDirTest, ClearRemovesEverything) {

@@ -501,6 +501,30 @@ TEST(HartdStats, StatsWorksOverTcpAndAfterMoreWrites) {
   EXPECT_NE(b.find("hartd_live_keys 100\n"), std::string::npos);
 }
 
+TEST(HartdStats, ShardGaugesReportTreeFootprint) {
+  Hartd db(small_opts(2));
+  // Three two-byte prefixes ("aa", "bb", "cc"), whichever shards they land on.
+  for (const char* p : {"aa", "bb", "cc"})
+    for (int i = 0; i < 20; ++i)
+      ASSERT_EQ(db.execute({OpCode::kPut, p + std::to_string(i), "v"}).status,
+                Status::kOk);
+  const std::string st = stats_prometheus(db);
+  uint64_t partitions = 0;
+  for (size_t s = 0; s < db.shard_count(); ++s) {
+    const std::string lbl = "{shard=\"" + std::to_string(s) + "\"} ";
+    const core::Hart& h = db.shard(s).hart();
+    EXPECT_NE(st.find("hartd_shard_dram_bytes" + lbl +
+                      std::to_string(h.memory_usage().dram_bytes) + "\n"),
+              std::string::npos);
+    EXPECT_NE(st.find("hartd_shard_partitions" + lbl +
+                      std::to_string(h.partition_count()) + "\n"),
+              std::string::npos);
+    EXPECT_GT(h.memory_usage().dram_bytes, 0u);
+    partitions += h.partition_count();
+  }
+  EXPECT_GE(partitions, 3u);
+}
+
 
 // ---- completion contract: one wake per waiter per shard batch ------------
 

@@ -5,7 +5,9 @@
 #   1. In-process: `loadgen --inproc --stats-out` — the scraped
 #      hartd_ops_total must equal the loadgen's acked op count, and the
 #      PM-event counters (pm_persist_calls_total, hartd_epochs_total)
-#      must be non-zero after a write burst.
+#      must be non-zero after a write burst, and so must every shard's
+#      tree-footprint gauges (hartd_shard_dram_bytes,
+#      hartd_shard_partitions).
 #   2. Trace export: `--trace-out` must produce parseable chrome://tracing
 #      JSON with a non-empty traceEvents array.
 #   3. Over TCP: hartd `--stats-dump 1` must print periodic dumps, the
@@ -59,6 +61,18 @@ if [ "$PERSISTS" -eq 0 ] || [ "$EPOCHS" -eq 0 ]; then
   exit 1
 fi
 echo "   pm_persist_calls_total=$PERSISTS hartd_epochs_total=$EPOCHS"
+
+for GAUGE in hartd_shard_dram_bytes hartd_shard_partitions; do
+  # Series count, zero-valued series count, and sum over shards.
+  read -r SERIES ZEROS SUM < <(awk -v base="$GAUGE" '
+      index($1, base "{") == 1 { n++; s += $2; if ($2 + 0 == 0) z++ }
+      END { print n + 0, z + 0, s + 0 }' "$DIR/stats.txt")
+  if [ "$SERIES" -eq 0 ] || [ "$ZEROS" -ne 0 ]; then
+    echo "FAIL: $GAUGE has $SERIES shard series, $ZEROS of them zero"
+    exit 1
+  fi
+  echo "   $GAUGE: $SERIES shards, total $SUM"
+done
 
 echo "== phase 2: trace export must be valid chrome://tracing JSON"
 if command -v python3 >/dev/null 2>&1; then
