@@ -162,7 +162,6 @@ inline std::unique_ptr<pmem::Arena> make_bench_arena(
   o.size = (mb != 0 ? mb : arena_mb()) << 20;
   o.latency = lat;
   o.shadow = false;  // crash simulation off: measure op cost only
-  o.charge_alloc_persist = true;
   return std::make_unique<pmem::Arena>(o);
 }
 

@@ -28,7 +28,6 @@ pmem::Arena::Options quiet_arena(size_t mb = 512) {
   pmem::Arena::Options o;
   o.size = mb << 20;
   o.latency = pmem::LatencyConfig::c300_100();
-  o.charge_alloc_persist = true;
   return o;
 }
 
@@ -302,7 +301,6 @@ pmem::Arena::Options ablation_arena(size_t mb = 1024) {
   pmem::Arena::Options o;
   o.size = mb << 20;
   o.latency = pmem::LatencyConfig::c300_300();
-  o.charge_alloc_persist = true;
   return o;
 }
 

@@ -104,9 +104,9 @@ Allocator::~Allocator() {
   }
 }
 
-void Allocator::persist_head(ObjType t) {
-  arena_.trace_store(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
-  arena_.persist(&root_->heads[static_cast<int>(t)], sizeof(uint64_t));
+void Allocator::persist_head() {
+  arena_.trace_store(&root_->leaf_head, sizeof(root_->leaf_head));
+  arena_.persist(&root_->leaf_head, sizeof(root_->leaf_head));
 }
 
 Allocator::ChunkState& Allocator::add_chunk_locked(const TypeState& st,
@@ -122,11 +122,17 @@ Allocator::ChunkState& Allocator::add_chunk_locked(const TypeState& st,
   return cs;
 }
 
-void Allocator::set_prev_locked(TypeState& st, uint64_t chunk_off,
-                                uint64_t prev) {
-  const size_t i = chunk_off / st.geom.stride;
-  if (i >= st.prev.size()) st.prev.resize(i + 1);
-  st.prev[i] = prev;
+void Allocator::drop_chunk_locked(const TypeState& st, Stripe& s,
+                                  uint64_t chunk_off, ChunkState& cs) {
+  cs = ChunkState{};  // stale avail/dirty entries are skipped on use
+  --s.nchunks;
+  arena_.free(chunk_off, st.geom.chunk_bytes, st.geom.stride);
+}
+
+void Allocator::set_prev_locked(uint64_t chunk_off, uint64_t prev) {
+  const size_t i = chunk_off / ts(ObjType::kLeaf).geom.stride;
+  if (i >= prev_.size()) prev_.resize(i + 1);
+  prev_[i] = prev;
 }
 
 void Allocator::make_available_locked(Stripe& s, uint64_t chunk_off,
@@ -146,28 +152,28 @@ void Allocator::mark_dirty_locked(Stripe& s, uint64_t chunk_off,
   }
 }
 
-uint64_t Allocator::new_chunk_list_locked(TypeState& st, ObjType t) {
+uint64_t Allocator::new_chunk(const TypeState& st, ObjType t) {
   const TypeGeometry& g = st.geom;
   const uint64_t off = arena_.alloc(g.chunk_bytes, g.stride);
-  auto* c = chunk_ptr(off);
+  ep_counters().chunk_alloc.inc();
+  // A value chunk is a bare span on no list: nothing to write or persist.
+  if (!has_persistent_bit(t)) return off;
   // Persist the header line before linking (Alg. 2 lines 8-10): a crash
   // before the head update leaves the chunk unreachable and the recovery
-  // reachability scan frees it. Only the header and PNext are written: no
-  // code reads a free slot, and a slot becomes reachable only after its own
-  // contents persisted (a leaf through its bit, a value through a live
-  // leaf), so the object area keeps whatever the space held before
-  // (DESIGN.md §13). List links always persist eagerly, even in batched
-  // mode — recovery walks them before any flush_metadata could run.
-  const uint64_t old_head = root_->heads[static_cast<int>(t)];
+  // reachability scan frees it. The object area is not written: a slot
+  // becomes reachable only after its own contents persisted (DESIGN.md
+  // §13). List links persist eagerly, even in batched mode.
+  common::MutexLock hlk(head_mu_);
+  auto* c = chunk_ptr(off);
+  const uint64_t old_head = root_->leaf_head;
   c->header = ChunkHdr::make(0, 0, kIndAvailable);
   c->pnext = old_head;
   arena_.trace_store(c, sizeof(MemChunk));
   arena_.persist(c, sizeof(MemChunk));
-  root_->heads[static_cast<int>(t)] = off;
-  persist_head(t);
-  set_prev_locked(st, off, 0);
-  if (old_head != pmem::kNullOff) set_prev_locked(st, old_head, off);
-  ep_counters().chunk_alloc.inc();
+  root_->leaf_head = off;
+  persist_head();
+  set_prev_locked(off, 0);
+  if (old_head != pmem::kNullOff) set_prev_locked(old_head, off);
   return off;
 }
 
@@ -213,11 +219,10 @@ uint64_t Allocator::reserve_impl(ObjType t) {
     }
   }
   if (obj_off == 0) {
-    // Every stripe exhausted: grow the chunk list. Which stripe the new
-    // chunk lands on is decided by its offset (the deterministic map), not
-    // by the allocating thread; the thread's next reserve starts there.
-    common::MutexLock hlk(st.head_mu);
-    const uint64_t c_off = new_chunk_list_locked(st, t);
+    // Every stripe exhausted: open a new chunk. Which stripe it lands on
+    // is decided by its offset (the deterministic map), not by the
+    // allocating thread; the thread's next reserve starts there.
+    const uint64_t c_off = new_chunk(st, t);
     Stripe& s = stripe_for(st, c_off);
     common::MutexLock lk(s.mu);
     ChunkState& cs = add_chunk_locked(st, s, c_off);
@@ -364,9 +369,16 @@ bool Allocator::bit_is_set(ObjType t, uint64_t obj_off) const {
 void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
-  // Lock order: head_mu (list topology and the prev links) -> stripe mu ->
-  // rlog_mu_.
-  common::MutexLock hlk(st.head_mu);
+  if (!has_persistent_bit(t)) {
+    // A value chunk is on no list: its span goes back to the arena with no
+    // persist, unless another thread reserved in it since.
+    Stripe& s = stripe_for(st, c_off);
+    common::MutexLock lk(s.mu);
+    ChunkState* cs = find_locked(st, s, c_off);
+    if (cs != nullptr && cs->empty()) drop_chunk_locked(st, s, c_off, *cs);
+    return;
+  }
+  common::MutexLock hlk(head_mu_);  // lock order: head_mu_ -> stripe mu
   Stripe& s = stripe_for(st, c_off);
   common::MutexLock lk(s.mu);
   ChunkState* found = find_locked(st, s, c_off);
@@ -386,26 +398,23 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
     cs.dirty = false;
   }
 
-  const uint64_t prev = st.prev[c_off / st.geom.stride];
+  const uint64_t prev = prev_[c_off / st.geom.stride];
   const uint64_t next = c->pnext;
   // A stale link would write a wrong pnext into another chunk: refuse
   // before the recycle log is touched (one read of a line the unlink
   // touches anyway).
-  if ((prev != 0 ? chunk_ptr(prev)->pnext
-                 : root_->heads[static_cast<int>(t)]) != c_off)
+  if ((prev != 0 ? chunk_ptr(prev)->pnext : root_->leaf_head) != c_off)
     throw std::logic_error("EPAllocator: stale predecessor link for chunk " +
                            std::to_string(c_off));
 
-  common::MutexLock rlk(rlog_mu_);
   RecycleLog& rlog = root_->rlog;
-  rlog.type_plus1 = static_cast<uint64_t>(t) + 1;
   rlog.pcurrent = c_off;
   arena_.trace_store(&rlog, sizeof(rlog));
   arena_.persist(&rlog, sizeof(rlog));
 
   if (prev == 0) {
-    root_->heads[static_cast<int>(t)] = next;
-    persist_head(t);
+    root_->leaf_head = next;
+    persist_head();
   } else {
     rlog.pprev = prev;
     arena_.trace_store(&rlog.pprev, sizeof(rlog.pprev));
@@ -415,10 +424,8 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
     arena_.trace_store(&pc->pnext, sizeof(pc->pnext));
     arena_.persist(&pc->pnext, sizeof(pc->pnext));
   }
-  if (next != pmem::kNullOff) set_prev_locked(st, next, prev);
-  cs = ChunkState{};  // stale avail/dirty entries are skipped on use
-  --s.nchunks;
-  arena_.free(c_off, st.geom.chunk_bytes, st.geom.stride);
+  if (next != pmem::kNullOff) set_prev_locked(next, prev);
+  drop_chunk_locked(st, s, c_off, cs);
   ep_counters().chunk_recycle.inc();
 
   rlog = RecycleLog{};
@@ -429,22 +436,21 @@ void Allocator::recycle_chunk_of(ObjType t, uint64_t obj_off) {
 void Allocator::flush_metadata(uint64_t /*epoch*/) {
   if (!batched_) return;
   bool any = false;
-  for (auto& st : types_) {
-    for (auto& s : st.stripes) {
-      common::MutexLock lk(s.mu);
-      if (s.dirty_chunks.empty()) continue;
-      for (const uint64_t c_off : s.dirty_chunks) {
-        ChunkState* found = find_locked(st, s, c_off);
-        // Stale entry (chunk recycled, possibly even re-spawned clean).
-        if (found == nullptr || !found->dirty) continue;
-        arena_.persist(&chunk_ptr(c_off)->header,
-                       sizeof(chunk_ptr(c_off)->header));
-        ep_counters().pm_meta_persists.inc();
-        any = true;
-        found->dirty = false;
-      }
-      s.dirty_chunks.clear();
+  TypeState& st = ts(ObjType::kLeaf);  // only leaf headers persist
+  for (auto& s : st.stripes) {
+    common::MutexLock lk(s.mu);
+    if (s.dirty_chunks.empty()) continue;
+    for (const uint64_t c_off : s.dirty_chunks) {
+      ChunkState* found = find_locked(st, s, c_off);
+      // Stale entry (chunk recycled, possibly even re-spawned clean).
+      if (found == nullptr || !found->dirty) continue;
+      arena_.persist(&chunk_ptr(c_off)->header,
+                     sizeof(chunk_ptr(c_off)->header));
+      ep_counters().pm_meta_persists.inc();
+      any = true;
+      found->dirty = false;
     }
+    s.dirty_chunks.clear();
   }
   if (any) ep_counters().meta_flush_batches.inc();
 }
@@ -452,7 +458,6 @@ void Allocator::flush_metadata(uint64_t /*epoch*/) {
 void Allocator::finish_recycle_log() {
   RecycleLog& rlog = root_->rlog;
   if (rlog.pcurrent == 0) return;
-  const ObjType t = rlog.type();
   const uint64_t c_off = rlog.pcurrent;
   auto* c = chunk_ptr(c_off);
   if (rlog.pprev != 0) {
@@ -462,12 +467,9 @@ void Allocator::finish_recycle_log() {
       pc->pnext = c->pnext;
       arena_.persist(&pc->pnext, sizeof(pc->pnext));
     }
-  } else {
-    uint64_t& head = root_->heads[static_cast<int>(t)];
-    if (head == c_off) {
-      head = c->pnext;
-      persist_head(t);
-    }
+  } else if (root_->leaf_head == c_off) {
+    root_->leaf_head = c->pnext;
+    persist_head();
   }
   rlog = RecycleLog{};
   arena_.persist(&rlog, sizeof(rlog));
@@ -478,10 +480,6 @@ void Allocator::recover_structure() {
 
   arena_.reset_alloc_map();
   for (auto& st : types_) {
-    {
-      common::MutexLock hlk(st.head_mu);
-      st.prev.clear();
-    }
     for (auto& s : st.stripes) {
       common::MutexLock lk(s.mu);
       s.table.clear();
@@ -491,32 +489,29 @@ void Allocator::recover_structure() {
     }
   }
 
+  // Leaf shadows rebuild from the PM headers; value chunks come back as
+  // the caller's leaf walk names them (mark_live).
+  TypeState& st = ts(ObjType::kLeaf);
   const uint64_t max_chunks =
-      arena_.size() / sizeof(MemChunk);  // loop guard for corrupt lists
-  for (int ti = 0; ti < kNumObjTypes; ++ti) {
-    TypeState& st = types_[ti];
-    common::MutexLock hlk(st.head_mu);
-    uint64_t off = root_->heads[ti];
-    uint64_t prev = 0;
-    uint64_t n = 0;
-    while (off != pmem::kNullOff) {
-      if (++n > max_chunks)
-        throw std::runtime_error("epalloc: cyclic chunk list");
-      arena_.mark_used(off, st.geom.chunk_bytes);
-      auto* c = chunk_ptr(off);
-      set_prev_locked(st, off, prev);
-      Stripe& s = stripe_for(st, off);
-      common::MutexLock lk(s.mu);
-      ChunkState& cs = add_chunk_locked(st, s, off);
-      // Leaf shadows rebuild straight from the durable PM headers. Value
-      // shadows start empty; the caller's leaf walk fills them
-      // (mark_live), and a value chunk stays available meanwhile.
-      const auto t = static_cast<ObjType>(ti);
-      if (has_persistent_bit(t)) cs.shadow = ChunkHdr::bitmap(c->header);
-      if (cs.shadow != kBitmapMask) make_available_locked(s, off, cs);
-      prev = off;
-      off = c->pnext;
-    }
+      arena_.size() / st.geom.stride;  // loop guard for corrupt lists
+  common::MutexLock hlk(head_mu_);
+  prev_.clear();
+  uint64_t off = root_->leaf_head;
+  uint64_t prev = 0;
+  uint64_t n = 0;
+  while (off != pmem::kNullOff) {
+    if (++n > max_chunks)
+      throw std::runtime_error("epalloc: cyclic chunk list");
+    arena_.mark_used(off, st.geom.chunk_bytes);
+    auto* c = chunk_ptr(off);
+    set_prev_locked(off, prev);
+    Stripe& s = stripe_for(st, off);
+    common::MutexLock lk(s.mu);
+    ChunkState& cs = add_chunk_locked(st, s, off);
+    cs.shadow = ChunkHdr::bitmap(c->header);
+    if (cs.shadow != kBitmapMask) make_available_locked(s, off, cs);
+    prev = off;
+    off = c->pnext;
   }
 }
 
@@ -524,43 +519,49 @@ void Allocator::mark_live(ObjType t, uint64_t obj_off) {
   TypeState& st = ts(t);
   const uint64_t c_off = st.geom.chunk_of(obj_off);
   const uint32_t idx = st.geom.index_of(obj_off);
-  Stripe& s = stripe_for(st, c_off);
-  common::MutexLock lk(s.mu);
-  ChunkState* cs = find_locked(st, s, c_off);
-  if (cs == nullptr || idx >= kObjectsPerChunk ||
+  if (has_persistent_bit(t) || idx >= kObjectsPerChunk ||
       st.geom.object_off(c_off, idx) != obj_off)
     throw std::runtime_error("epalloc: live reference " +
                              std::to_string(obj_off) +
-                             " is not an object of its type's chunk list");
+                             " is not an object slot of its value class");
+  Stripe& s = stripe_for(st, c_off);
+  common::MutexLock lk(s.mu);
+  ChunkState* cs = find_locked(st, s, c_off);
+  if (cs == nullptr) {  // the chunk's first live value brings it back
+    if (!arena_.mark_used(c_off, st.geom.chunk_bytes))
+      throw std::runtime_error(
+          "epalloc: value chunk " + std::to_string(c_off) +
+          " leaves the arena or overlaps another chunk");
+    cs = &add_chunk_locked(st, s, c_off);
+    make_available_locked(s, c_off, *cs);
+  }
   if ((cs->shadow >> idx) & 1)
     throw std::runtime_error("epalloc: object " + std::to_string(obj_off) +
                              " referenced twice");
   cs->shadow |= uint64_t{1} << idx;
 }
 
-void Allocator::for_each_live(ObjType t,
-                              const std::function<void(uint64_t)>& f) const {
-  const TypeState& st = ts(t);
-  uint64_t off = root_->heads[static_cast<int>(t)];
-  while (off != pmem::kNullOff) {
-    const auto* c = chunk_ptr(off);
-    uint64_t bm = ChunkHdr::bitmap(c->header);
-    while (bm != 0) {
-      const auto idx = static_cast<uint32_t>(std::countr_zero(bm));
-      bm &= bm - 1;
-      f(st.geom.object_off(off, idx));
-    }
-    off = c->pnext;
+void Allocator::for_each_live(const std::function<void(uint64_t)>& f) const {
+  for (uint64_t off = root_->leaf_head; off != pmem::kNullOff;
+       off = chunk_ptr(off)->pnext)
+    for_each_live_in(off, f);
+}
+
+void Allocator::for_each_live_in(
+    uint64_t chunk_off, const std::function<void(uint64_t)>& f) const {
+  uint64_t bm = ChunkHdr::bitmap(chunk_ptr(chunk_off)->header);
+  while (bm != 0) {
+    const auto idx = static_cast<uint32_t>(std::countr_zero(bm));
+    bm &= bm - 1;
+    f(geom(ObjType::kLeaf).object_off(chunk_off, idx));
   }
 }
 
-std::vector<uint64_t> Allocator::chunk_offsets(ObjType t) const {
+std::vector<uint64_t> Allocator::chunk_offsets() const {
   std::vector<uint64_t> out;
-  uint64_t off = root_->heads[static_cast<int>(t)];
-  while (off != pmem::kNullOff) {
+  for (uint64_t off = root_->leaf_head; off != pmem::kNullOff;
+       off = chunk_ptr(off)->pnext)
     out.push_back(off);
-    off = chunk_ptr(off)->pnext;
-  }
   return out;
 }
 

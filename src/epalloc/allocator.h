@@ -2,20 +2,18 @@
 // (EPallocator, Section III.A.4-6, Algorithms 2 and 6), with striped,
 // DRAM-shadowed volatile state (the HESH/Dash recipe).
 //
-// Persistent format. Objects are handed out from 56-object chunks whose
-// single 8-byte header word (bitmap + hint + full indicator) is updated
-// failure-atomically. Chunks of each type form a singly linked persistent
-// list rooted in EPRoot, which is both the recovery index (Algorithm 7
-// walks the leaf list) and the leak-prevention device. The recycle
-// micro-log lives in EPRoot too (micrologs.h).
+// Persistent format. Objects are handed out from 56-object chunks. Leaf
+// chunks form a singly linked persistent list rooted in EPRoot (the
+// recovery index, which Algorithm 7 walks, and the leak-prevention
+// device), with its recycle micro-log (micrologs.h); a leaf chunk's 8-byte
+// header word (bitmap + hint + full indicator) is updated failure-atomically.
 //
 // Only leaves carry a persistent bit (has_persistent_bit()): a leaf's bit
 // is set only *after* the leaf is fully written and linked into the index,
-// so a crash in between leaves the slot free. Value objects have none
-// (DESIGN.md §1, correction 1): a value is live exactly when a live leaf's
-// value word names it, so its occupancy lives in the DRAM shadow alone,
-// and recovery re-derives it from the leaves (mark_live). A value chunk's
-// header word stays zero.
+// so a crash in between leaves the slot free. Values have none, and value
+// chunks are bare stride-aligned arena spans on no list (DESIGN.md §1,
+// correction 1): a value is live exactly when a live leaf names it, so
+// recovery re-derives each value and its chunk from the leaves (mark_live).
 //
 // Two-phase allocation: reserve() returns a *reserved* object (volatile
 // reservation, so concurrent writers on different ARTs never collide), and
@@ -36,16 +34,13 @@
 //    stripe), moving on to the next stripe only when that one is out of
 //    space (counted in epalloc_stripe_steals_total). A new chunk's stripe
 //    follows its offset, and the thread follows the new chunk.
-//  * O(1) recycle. Each type keeps volatile predecessor links for its
-//    chunk list, so Algorithm 6 unlinks a chunk without walking the list,
-//    and the free paths report whether a chunk became empty, so the
-//    recycle (and its locks) runs only for chunks that did.
+//  * O(1) recycle. Volatile predecessor links let Algorithm 6 unlink a
+//    leaf chunk without walking the list, and the free paths report
+//    whether a chunk became empty, so a recycle runs only for those.
 //  * DRAM shadow bitmaps. Every chunk's occupancy bitmap lives in its
-//    ChunkState (`shadow`). For leaf chunks it is kept exactly equal to
-//    the PM header word — header *stores* remain immediate 8-byte atomic
-//    stores so lock-free bit_probe readers are unaffected; for value
-//    chunks it is the only record. All allocation decisions read the
-//    shadow, never PM.
+//    ChunkState (`shadow`): for leaf chunks a mirror of the PM header word
+//    (whose stores stay immediate and atomic for lock-free bit_probe), for
+//    value chunks the only record. Allocation reads the shadow, never PM.
 //  * Batched metadata persistence (AllocOptions::batched_meta). A leaf
 //    commit's header persist is deferred: the header is marked dirty and
 //    flushed by flush_metadata(), which Hart::flush_epoch() invokes just
@@ -53,12 +48,12 @@
 //    already pays. A leaf free persists its header eagerly in either
 //    schedule, so a freed slot (and the value its leaf named) is reusable
 //    at once: the change that unreferenced it is already durable.
-//    Chunk-list links, the recycle log and object payloads keep their
+//    Leaf chunk-list links, the recycle log and object payloads keep their
 //    eager persist schedule too.
 //
 // With stripes = 1 and eager metadata persists this is the paper's
-// single-instance EPallocator minus the value bits: one metadata persist
-// per insert and per delete, none per update.
+// single-instance EPallocator minus the value bits and lists: one header
+// persist per insert and per delete, none per update.
 //
 // Crash model in batched mode: inserts since the last fence may not be
 // durable — identical to losing the unacked tail of a group-commit batch,
@@ -141,9 +136,10 @@ class Allocator {
   /// across a recovery).
   void release_retired(ObjType t, uint64_t obj_off);
 
-  /// EPRecycle(MemChunkOf(obj)) — Algorithm 6. Unlinks and frees the chunk
-  /// if it contains no used (or reserved, or retired) object. The
-  /// predecessor comes from the volatile links: O(1), no list walk.
+  /// EPRecycle(MemChunkOf(obj)): frees the chunk if it contains no used
+  /// (or reserved, or retired) object. A leaf chunk is unlinked first
+  /// (Algorithm 6; the predecessor comes from the volatile links, O(1)). A
+  /// value chunk's span just goes back to the arena, with no persist.
   void recycle_chunk_of(ObjType t, uint64_t obj_off);
 
   /// Whether the object is marked used (the DRAM shadow; no PM read).
@@ -180,34 +176,35 @@ class Allocator {
 
   // ---- recovery -------------------------------------------------------
   /// Structural recovery: finish or roll back the recycle log, rebuild the
-  /// arena allocation map from the reachable chunk lists (leak freedom by
-  /// construction), and rebuild all volatile state — the leaf shadows from
-  /// the PM headers, the predecessor links from the lists. Every value
-  /// slot starts free. The caller then walks the live leaves, hands each
-  /// one's value to mark_live() and rebuilds its DRAM structures
-  /// (Algorithm 7).
+  /// arena allocation map from the reachable leaf chunks (leak freedom by
+  /// construction), and rebuild the leaf chunks' volatile state — their
+  /// shadows from the PM headers, the predecessor links from the list. No
+  /// value chunk exists yet. The caller then walks the live leaves, hands
+  /// each one's value to mark_live() and rebuilds its DRAM structures
+  /// (Algorithm 7); a value chunk no live leaf names stays free.
   void recover_structure();
 
-  /// Recovery: record a value that a live leaf names as used (DRAM only).
-  /// Safe to call from several recovery threads. Throws std::runtime_error
-  /// when `obj_off` is not an object of a chunk in t's list, or is marked
-  /// already — a corrupt image, which verify_hart_image reports.
+  /// Recovery: record a value that a live leaf names as used (DRAM only);
+  /// the chunk's first one marks the chunk's span used in the arena. Safe
+  /// to call from several recovery threads. Throws std::runtime_error when
+  /// `obj_off` is no value slot, is marked already, or lies in a chunk
+  /// whose span leaves the arena or overlaps another chunk — a corrupt
+  /// image, which verify_hart_image reports.
   void mark_live(ObjType t, uint64_t obj_off);
 
-  /// Invoke `f(obj_off)` for every object whose persistent bit is set, in
-  /// list order. Only leaves have persistent bits (has_persistent_bit()).
-  void for_each_live(ObjType t, const std::function<void(uint64_t)>& f) const;
+  /// Invoke `f(obj_off)` for every leaf whose persistent bit is set, in
+  /// list order, or in the leaf chunk at `chunk_off` only.
+  void for_each_live(const std::function<void(uint64_t)>& f) const;
+  void for_each_live_in(uint64_t chunk_off,
+                        const std::function<void(uint64_t)>& f) const;
 
-  /// Snapshot of the chunk offsets of one list (parallel recovery shards
-  /// the leaf list across workers by chunk).
-  [[nodiscard]] std::vector<uint64_t> chunk_offsets(ObjType t) const;
+  /// Snapshot of the leaf chunk list (parallel recovery shards it across
+  /// workers by chunk).
+  [[nodiscard]] std::vector<uint64_t> chunk_offsets() const;
 
   // ---- introspection (tests, stats) -----------------------------------
   [[nodiscard]] uint64_t live_objects(ObjType t) const;
   [[nodiscard]] uint64_t chunk_count(ObjType t) const;
-  [[nodiscard]] uint64_t list_head(ObjType t) const {
-    return root_->heads[static_cast<int>(t)];
-  }
 
  private:
   /// Volatile state of one chunk: 32 bytes per table slot.
@@ -215,7 +212,7 @@ class Allocator {
     uint64_t shadow = 0;    // used objects (leaves: mirrors the PM header)
     uint64_t reserved = 0;  // volatile reservation bitmap
     uint64_t retired = 0;   // volatile: freed, awaiting EBR grace period
-    bool live = false;      // the slot holds a linked chunk
+    bool live = false;      // the slot holds a chunk
     bool dirty = false;     // header persist deferred to flush_metadata
     bool in_avail = false;
 
@@ -239,14 +236,6 @@ class Allocator {
   };
   struct TypeState {
     TypeGeometry geom;  // immutable after construction; not guarded
-    /// Serializes chunk-list mutations (link a new chunk, unlink on
-    /// recycle), the volatile->persistent head word and the predecessor
-    /// links. Lock order: head_mu -> any stripe mu -> rlog_mu_.
-    mutable common::Mutex head_mu;
-    /// Volatile predecessor links of the persistent chunk list, indexed
-    /// by chunk_off / stride: prev[i] is the chunk whose pnext names chunk
-    /// i (0 for the head). 8 bytes per stride of arena extent.
-    std::vector<uint64_t> prev GUARDED_BY(head_mu);
     std::deque<Stripe> stripes;  // deque: Stripe is not movable
   };
 
@@ -273,20 +262,23 @@ class Allocator {
     if (i >= s.table.size() || !s.table[i].live) return nullptr;
     return &s.table[i];
   }
-  /// A fresh (live, empty) table slot for a chunk just linked at
+  /// A fresh (live, empty) table slot for a chunk just created at
   /// `chunk_off`, growing the table as needed.
   ChunkState& add_chunk_locked(const TypeState& st, Stripe& s,
                                uint64_t chunk_off) REQUIRES(s.mu);
-  /// Sets the predecessor link of the chunk at `chunk_off`.
-  void set_prev_locked(TypeState& st, uint64_t chunk_off, uint64_t prev)
-      REQUIRES(st.head_mu);
+  /// Drops the chunk's table slot and returns its span to the arena.
+  void drop_chunk_locked(const TypeState& st, Stripe& s, uint64_t chunk_off,
+                         ChunkState& cs) REQUIRES(s.mu);
+  /// Sets the predecessor link of the leaf chunk at `chunk_off`.
+  void set_prev_locked(uint64_t chunk_off, uint64_t prev) REQUIRES(head_mu_);
 
   /// reserve() minus the status mapping; throws std::bad_alloc on arena
   /// exhaustion.
   uint64_t reserve_impl(ObjType t);
   bool try_reserve_in_stripe(TypeState& st, Stripe& s, uint64_t* obj_off);
-  uint64_t new_chunk_list_locked(TypeState& st, ObjType t)
-      REQUIRES(st.head_mu);
+  /// Allocates a chunk of type `t`; a leaf chunk is also linked at the
+  /// head of the leaf list (Algorithm 2, lines 8-10).
+  uint64_t new_chunk(const TypeState& st, ObjType t);
   /// Returns true when the chunk became empty.
   bool free_slot_locked(TypeState& st, Stripe& s, ObjType t,
                         uint64_t obj_off, bool retire) REQUIRES(s.mu);
@@ -294,7 +286,7 @@ class Allocator {
       REQUIRES(s.mu);
   void mark_dirty_locked(Stripe& s, uint64_t chunk_off, ChunkState& cs)
       REQUIRES(s.mu);
-  void persist_head(ObjType t);
+  void persist_head();
 
   void finish_recycle_log();
 
@@ -303,14 +295,12 @@ class Allocator {
   const uint32_t nstripes_;
   const bool batched_;
   TypeState types_[kNumObjTypes];
-  /// Serializes all use of the single shared persistent RecycleLog. A
-  /// stripe mutex is not enough: chunks of *different* object types can be
-  /// recycled concurrently, and without this lock both writers would
-  /// interleave their stores into the same log words — a PM race that
-  /// could make recovery unlink a chunk with the wrong type's geometry.
-  /// Acquired after a stripe mutex, never the other way around. Guards a
-  /// PM structure (root_->rlog), which TSA cannot express as GUARDED_BY.
-  common::Mutex rlog_mu_;
+  /// Serializes the leaf chunk list (links, head word, recycle log: PM
+  /// words TSA cannot name) and prev_. Lock order: head_mu_ -> stripe mu.
+  common::Mutex head_mu_;
+  /// Predecessor links of the leaf list, indexed by chunk_off / stride:
+  /// prev_[i] is the chunk whose pnext names chunk i (0 for the head).
+  std::vector<uint64_t> prev_ GUARDED_BY(head_mu_);
 };
 
 }  // namespace hart::epalloc

@@ -10,11 +10,13 @@
 //   bits 56..61  index of the next free object (allocation hint)
 //   bits 62..63  full indicator: 00 = has a free object, 01 = full,
 //                10/11 reserved
+// Only leaf chunks use the first line: a value chunk is on no list and has
+// no persistent bits (DESIGN.md §1, correction 1), so it never writes it.
 //
 // Chunks of a given object size are allocated at a power-of-two stride and
 // alignment, so MemChunkOf(object) is the object's offset masked down to the
-// stride — this is how Algorithm 3/5/6 find the chunk a value or leaf
-// belongs to without any per-object back-pointer.
+// stride — this is how Algorithm 3/5/6 and recovery find the chunk a value
+// or leaf belongs to without any per-object back-pointer.
 #pragma once
 
 #include <bit>
@@ -48,9 +50,9 @@ inline ObjType value_class_for_len(size_t len) {
 inline uint32_t value_class_size(ObjType t) {
   return uint32_t{8} << (static_cast<uint8_t>(t) - 1);
 }
-/// Whether objects of type `t` keep their used bit in the PM chunk header.
-/// Only leaves do: a value is live exactly when a live leaf names it, so
-/// value chunks keep occupancy in DRAM and their header word stays zero.
+/// Whether objects of type `t` keep their used bit in the PM chunk header
+/// and their chunks on the persistent list. Only leaves do: a value is
+/// live exactly when a live leaf names it.
 constexpr bool has_persistent_bit(ObjType t) { return t == ObjType::kLeaf; }
 
 inline constexpr uint64_t kBitmapMask = (uint64_t{1} << kObjectsPerChunk) - 1;
@@ -87,8 +89,8 @@ struct ChunkHdr {
 
 /// The persistent chunk object. Objects start at the next cache line.
 struct MemChunk {
-  uint64_t header;  // see ChunkHdr
-  uint64_t pnext;   // arena offset of the next chunk in the list; 0 = end
+  uint64_t header;  // see ChunkHdr (leaf chunks only)
+  uint64_t pnext;   // next leaf chunk in the list; 0 = end (leaf chunks only)
 
   static constexpr uint64_t kObjectsOffset = pmem::kCacheLine;
 };

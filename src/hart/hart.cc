@@ -1,7 +1,6 @@
 #include "hart/hart.h"
 
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -83,7 +82,14 @@ Hart::Hart(pmem::Arena& arena, Options opts)
            opts_.rwlock_reads ? nullptr : &common::ebr::Domain::instance(),
            opts_.fingerprints) {
   if (root_->magic == kHartMagic) {
-    recover();
+    try {
+      recover();
+    } catch (...) {
+      // A corrupt image: the rebuilt trees die with this Hart, so the
+      // nodes their rebuild retired must be freed first (see ~Hart).
+      if (optimistic()) common::ebr::Domain::instance().drain();
+      throw;
+    }
   } else {
     *root_ = HartRoot{};
     root_->hash_key_len = opts_.hash_key_len;
@@ -577,12 +583,10 @@ void Hart::recover(unsigned threads) {
   static obs::Counter& recovered =
       obs::Registry::instance().counter("hart_recovered_leaves_total");
   if (threads <= 1) {
-    ep_.for_each_live(epalloc::ObjType::kLeaf, insert_leaf);
+    ep_.for_each_live(insert_leaf);
   } else {
     // Parallel recovery (extension): shard the leaf chunks across workers.
-    const std::vector<uint64_t> chunks =
-        ep_.chunk_offsets(epalloc::ObjType::kLeaf);
-    const auto& geom = ep_.geom(epalloc::ObjType::kLeaf);
+    const std::vector<uint64_t> chunks = ep_.chunk_offsets();
     std::vector<std::thread> pool;
     std::atomic<size_t> next{0};
     for (unsigned t = 0; t < threads; ++t) {
@@ -590,13 +594,7 @@ void Hart::recover(unsigned threads) {
         for (;;) {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= chunks.size()) return;
-          const auto* c = arena_.ptr<epalloc::MemChunk>(chunks[i]);
-          uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
-          while (bm != 0) {
-            const auto idx = static_cast<uint32_t>(std::countr_zero(bm));
-            bm &= bm - 1;
-            insert_leaf(geom.object_off(chunks[i], idx));
-          }
+          ep_.for_each_live_in(chunks[i], insert_leaf);
         }
       });
     }

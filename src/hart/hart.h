@@ -35,12 +35,14 @@ inline constexpr uint64_t kHartRootMagic = 0x48415254'524f4f54ULL;
 /// value objects' persistent allocation bits (a value is live exactly when
 /// a live leaf names it); 3 is the 32-byte NUL-padded leaf (no key length,
 /// no persisted fingerprint) in chunks whose objects start on a cache
-/// line. An image of any other format is refused, not upgraded.
-inline constexpr uint32_t kHartFormatVersion = 3;
+/// line; 4 keeps only the leaf chunk list in the root (value chunks are
+/// found through the leaves) and drops the recycle log's type word. An
+/// image of any other format is refused, not upgraded.
+inline constexpr uint32_t kHartFormatVersion = 4;
 
 /// Persistent root of a HART instance, stored in the arena header. Contains
-/// everything needed to recover: the EPallocator chunk lists (the leaf list
-/// is the recovery index) and the recycle log.
+/// everything needed to recover: the leaf chunk list (the recovery index)
+/// and its recycle log.
 struct HartRoot {
   uint64_t magic;
   uint32_t hash_key_len;
@@ -165,12 +167,12 @@ class Hart final : public common::Index {
   void quiesce();
 
   /// Enumerate the full key of every live leaf straight from the
-  /// EPallocator's chunk lists (no tree descent; unordered). Used by the
+  /// EPallocator's leaf chunk list (no tree descent; unordered). Used by the
   /// service layer to rebuild per-shard Bloom filters after recovery.
   /// Requires quiescence (no concurrent writers), same as recover().
   template <class F>
   void for_each_key(F&& fn) const {
-    ep_.for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
+    ep_.for_each_live([&](uint64_t off) {
       const auto* leaf = arena_.ptr<HartLeaf>(off);
       fn(leaf_key(leaf));
     });

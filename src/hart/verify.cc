@@ -40,36 +40,31 @@ bool in_bounds(const pmem::Arena& arena, uint64_t off, uint64_t bytes) {
   return off >= pmem::kArenaHeaderSize && off + bytes <= arena.size();
 }
 
-/// Walk one chunk list; returns the set of chunk offsets (empty on fatal
-/// structural damage, which is reported).
-std::vector<uint64_t> walk_list(Ctx& ctx, epalloc::ObjType t, uint64_t head,
-                                const epalloc::TypeGeometry& g) {
+/// Walk the leaf chunk list; returns its chunk offsets (cut short on
+/// fatal structural damage, which is reported).
+std::vector<uint64_t> walk_leaf_list(Ctx& ctx, uint64_t head,
+                                     const epalloc::TypeGeometry& g) {
   std::vector<uint64_t> chunks;
   std::set<uint64_t> seen;
   uint64_t off = head;
   while (off != pmem::kNullOff) {
     if (!in_bounds(ctx.arena, off, g.chunk_bytes)) {
-      ctx.error("chunk " + hex(off) + " (type " +
-                std::to_string(static_cast<int>(t)) + ") out of bounds");
+      ctx.error("leaf chunk " + hex(off) + " out of bounds");
       return chunks;
     }
     if (off % g.stride != 0) {
-      ctx.error("chunk " + hex(off) + " not aligned to stride " +
+      ctx.error("leaf chunk " + hex(off) + " not aligned to stride " +
                 std::to_string(g.stride));
       return chunks;
     }
     if (!seen.insert(off).second) {
-      ctx.error("cycle in chunk list of type " +
-                std::to_string(static_cast<int>(t)) + " at " + hex(off));
+      ctx.error("cycle in the leaf chunk list at " + hex(off));
       return chunks;
     }
     chunks.push_back(off);
     const auto* c = ctx.arena.ptr<epalloc::MemChunk>(off);
 
     // V2: header internal consistency.
-    if (!epalloc::has_persistent_bit(t) && c->header != 0)
-      ctx.error("value chunk " + hex(off) + ": header " + hex(c->header) +
-                " is not zero");
     const uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
     const bool full = epalloc::ChunkHdr::full(c->header);
     if (full != (bm == epalloc::kBitmapMask))
@@ -121,35 +116,40 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
     ctx.error("hash_key_len out of range: " +
               std::to_string(root->hash_key_len));
 
-  // V2: chunk lists per type.
+  // V2: the leaf chunk list.
   const epalloc::TypeGeometry geoms[epalloc::kNumObjTypes] = {
       epalloc::TypeGeometry::for_obj_size(sizeof(HartLeaf)),
       epalloc::TypeGeometry::for_obj_size(8),
       epalloc::TypeGeometry::for_obj_size(16),
       epalloc::TypeGeometry::for_obj_size(32),
       epalloc::TypeGeometry::for_obj_size(64)};
-  std::vector<uint64_t> chunks_of[epalloc::kNumObjTypes];
-  std::set<uint64_t> value_chunks[epalloc::kNumObjTypes];
-  for (int t = 0; t < epalloc::kNumObjTypes; ++t) {
-    chunks_of[t] = walk_list(ctx, static_cast<epalloc::ObjType>(t),
-                             root->ep.heads[t], geoms[t]);
-    report.chunks += chunks_of[t].size();
-    for (const uint64_t c : chunks_of[t]) value_chunks[t].insert(c);
-  }
-
-  // Whether `voff` is an object slot of a chunk in class `cls`'s list.
-  auto is_value_slot = [&](int cls, uint64_t voff) {
-    const auto& g = geoms[cls];
-    const uint64_t c = g.chunk_of(voff);
-    const uint32_t idx = g.index_of(voff);
-    return value_chunks[cls].count(c) != 0 &&
-           idx < epalloc::kObjectsPerChunk && g.object_off(c, idx) == voff;
+  const std::vector<uint64_t> leaf_chunks =
+      walk_leaf_list(ctx, root->ep.leaf_head, geoms[0]);
+  // The chunk spans recovery marks used, start -> (end, type), in its
+  // order: the leaf chunks, then each value chunk when a live leaf first
+  // names it (value chunks are on no list). The spans are disjoint.
+  std::map<uint64_t, std::pair<uint64_t, int>> spans;
+  for (const uint64_t c : leaf_chunks)
+    spans[c] = {c + geoms[0].chunk_bytes, 0};
+  auto value_chunk_ok = [&](int cls, uint64_t c, uint64_t leaf_off) {
+    if (auto it = spans.find(c); it != spans.end() && it->second.second == cls)
+      return true;
+    const uint64_t end = c + geoms[cls].chunk_bytes;
+    const auto next = spans.lower_bound(end);
+    std::string why = " out of bounds";
+    if (in_bounds(arena, c, geoms[cls].chunk_bytes)) {
+      if (next == spans.begin() || std::prev(next)->second.first <= c)
+        return spans.emplace(c, std::pair{end, cls}).second;
+      why = " overlaps chunk " + hex(std::prev(next)->first);
+    }
+    ctx.error("leaf " + hex(leaf_off) + ": value chunk " + hex(c) + why);
+    return false;
   };
 
   // V3/V4/V5: live leaves, their keys and their value references.
   std::map<uint64_t, uint64_t> value_owner;    // value off -> leaf off
   std::map<std::string, uint64_t> key_owner;  // key -> leaf off
-  for (const uint64_t c_off : chunks_of[0]) {
+  for (const uint64_t c_off : leaf_chunks) {
     const auto* c = arena.ptr<epalloc::MemChunk>(c_off);
     uint64_t bm = epalloc::ChunkHdr::bitmap(c->header);
     while (bm != 0) {
@@ -186,12 +186,17 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
                                  static_cast<epalloc::ObjType>(cls)))
         ctx.error("leaf " + hex(leaf_off) + ": value length " +
                   std::to_string(ValueRef::len(w)) + " exceeds its class");
+      // The value's chunk follows from its offset (stride-aligned chunks).
       const uint64_t voff = ValueRef::off(w);
-      if (!is_value_slot(cls, voff)) {
+      const auto& vg = geoms[cls];
+      const uint64_t vc = vg.chunk_of(voff);
+      const uint32_t vi = vg.index_of(voff);
+      if (vi >= epalloc::kObjectsPerChunk || vg.object_off(vc, vi) != voff) {
         ctx.error("leaf " + hex(leaf_off) + ": value reference " + hex(w) +
                   " names no object of its class");
         continue;
       }
+      if (!value_chunk_ok(cls, vc, leaf_off)) continue;
       // V4: one live leaf per value.
       auto [it, fresh] = value_owner.emplace(voff, leaf_off);
       if (!fresh)
@@ -200,18 +205,16 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
     }
   }
   report.live_values = value_owner.size();
+  report.chunks = spans.size();
 
   // V6: the recycle log.
   const auto& rlog = root->ep.rlog;
   if (rlog.pcurrent != 0) {
-    if (rlog.type_plus1 == 0 ||
-        rlog.type_plus1 > epalloc::kNumObjTypes)
-      ctx.error("recycle log has invalid type");
-    else if (!in_bounds(arena, rlog.pcurrent, sizeof(epalloc::MemChunk)))
+    if (!in_bounds(arena, rlog.pcurrent, sizeof(epalloc::MemChunk)))
       ctx.error("recycle log PCurrent out of bounds");
     else
       ctx.warn("recycle log in flight (recovery will finish it)");
-  } else if (rlog.pprev != 0 || rlog.type_plus1 != 0) {
+  } else if (rlog.pprev != 0) {
     ctx.error("recycle log partially cleared");
   }
 

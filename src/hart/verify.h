@@ -1,20 +1,21 @@
 // Offline integrity verifier ("fsck") for a HART persistent-memory image.
 //
-// Walks the raw persistent structures — chunk lists, bitmaps, leaves,
-// values, the recycle log — and checks every invariant the recovery path relies
-// on, without mutating anything. Useful after a crash, in tests (the crash
-// sweeps assert a clean report), and as executable documentation of the
-// on-PM format.
+// Walks the raw persistent structures — the leaf chunk list, its bitmaps,
+// the leaves, the value chunks they name, the recycle log — and checks
+// every invariant the recovery path relies on, without mutating anything.
+// Useful after a crash, in tests (the crash sweeps assert a clean report),
+// and as executable documentation of the on-PM format.
 //
 // Checked invariants:
 //   V1  the root carries the HART magic, this build's format version and
 //       a sane hash_key_len;
-//   V2  every chunk list is acyclic, in-bounds, stride-aligned, and chunk
-//       headers have a consistent full-indicator / bitmap / hint; value
-//       chunk headers carry no bits (values have no persistent bit);
+//   V2  the leaf chunk list is acyclic, in-bounds, stride-aligned, and its
+//       chunk headers have a consistent full-indicator / bitmap / hint;
 //   V3  every live leaf has a well-formed key (1..24 bytes, NUL-padded to
-//       24) and a well-formed value reference (an object slot in a chunk
-//       of the recorded class, a length that fits it);
+//       24) and a well-formed value reference: an object slot of the
+//       recorded class, a length that fits it, in a stride-aligned chunk
+//       (value chunks are on no list) that lies in the arena and overlaps
+//       no leaf chunk and no other class's chunk;
 //   V4  no two live leaves share a value object;
 //   V5  no two live leaves carry the same key;
 //   V6  the recycle log is either empty or internally consistent.

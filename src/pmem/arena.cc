@@ -178,10 +178,8 @@ uint64_t Arena::alloc(uint64_t bytes, uint64_t align) {
   stats_.pm_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
   stats_.pm_block_bytes.store(blocks_.used_block_bytes(),
                               std::memory_order_relaxed);
-  if (opts_.charge_alloc_persist) {
-    stats_.alloc_meta_persists.fetch_add(1, std::memory_order_relaxed);
-    charge_latency(opts_.latency.extra_write_ns());
-  }
+  stats_.alloc_meta_persists.fetch_add(1, std::memory_order_relaxed);
+  charge_latency(opts_.latency.extra_write_ns());
   if (check_) check_->on_alloc(off, bytes);
   return off;
 }
@@ -193,10 +191,8 @@ void Arena::free(uint64_t off, uint64_t bytes, uint64_t align) {
   stats_.pm_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
   stats_.pm_block_bytes.store(blocks_.used_block_bytes(),
                               std::memory_order_relaxed);
-  if (opts_.charge_alloc_persist) {
-    stats_.alloc_meta_persists.fetch_add(1, std::memory_order_relaxed);
-    charge_latency(opts_.latency.extra_write_ns());
-  }
+  stats_.alloc_meta_persists.fetch_add(1, std::memory_order_relaxed);
+  charge_latency(opts_.latency.extra_write_ns());
 }
 
 void Arena::reset_alloc_map() {
@@ -206,12 +202,13 @@ void Arena::reset_alloc_map() {
   stats_.pm_block_bytes.store(0, std::memory_order_relaxed);
 }
 
-void Arena::mark_used(uint64_t off, uint64_t bytes) {
-  blocks_.mark_used(off, bytes);
+bool Arena::mark_used(uint64_t off, uint64_t bytes) {
+  if (!blocks_.mark_used(off, bytes)) return false;
   if (check_) check_->on_mark_used(off, bytes);
   stats_.pm_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
   stats_.pm_block_bytes.store(blocks_.used_block_bytes(),
                               std::memory_order_relaxed);
+  return true;
 }
 
 void Arena::persist(const void* p, size_t len) {

@@ -51,9 +51,6 @@ class Arena {
     /// and a mutex on every persist/pm_read.
     bool check = false;
     pmcheck::Config check_config;
-    /// Model one metadata flush per raw PM alloc/free (a real persistent
-    /// allocator must persist its metadata; EPallocator amortizes this).
-    bool charge_alloc_persist = true;
     /// Defer latency injection: persist()/pm_read()/alloc() accumulate the
     /// owed delay instead of busy-waiting, and pay_latency() sleeps it off
     /// in one block. On a time-shared host this lets several arenas
@@ -139,14 +136,18 @@ class Arena {
 
   // ---- allocation ------------------------------------------------------
   /// Allocate `bytes` of PM with the given alignment; returns the offset.
+  /// alloc and free each charge one modeled allocator-metadata flush
+  /// (Stats::alloc_meta_persists, the PM-write delta; block_alloc.h).
   uint64_t alloc(uint64_t bytes, uint64_t align = kBlockSize);
   void free(uint64_t off, uint64_t bytes, uint64_t align = kBlockSize);
 
   /// Recovery protocol: mark all of PM free, then re-mark each span
   /// reachable from the index's persistent structures. Anything not marked
   /// is free again — allocator-level leak freedom by construction.
+  /// mark_used returns false, and marks nothing, when [off, off + bytes)
+  /// leaves the block space or overlaps a span marked already.
   void reset_alloc_map();
-  void mark_used(uint64_t off, uint64_t bytes);
+  bool mark_used(uint64_t off, uint64_t bytes);
 
   [[nodiscard]] bool is_allocated(uint64_t off, uint64_t bytes) const {
     return blocks_.is_used(off, bytes);

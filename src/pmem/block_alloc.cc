@@ -93,12 +93,15 @@ void BlockAllocator::reset_all_free() {
   used_blocks_ = 0;
 }
 
-void BlockAllocator::mark_used(uint64_t off, uint64_t bytes) {
+bool BlockAllocator::mark_used(uint64_t off, uint64_t bytes) {
+  if (off < first_byte_) return false;
   const uint64_t n = blocks_of(bytes);
   const uint64_t first = (off - first_byte_) / kBlockSize;
   common::MutexLock lk(mu_);
+  if (!span_free(first, n)) return false;  // also refuses a span past the end
   set_bits(first, n);
   if (first + n > hint_block_) hint_block_ = first + n;
+  return true;
 }
 
 uint64_t BlockAllocator::used_block_bytes() const {

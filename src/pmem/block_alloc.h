@@ -9,9 +9,9 @@
 //
 // Real PM allocators must flush their (persistent) metadata on every
 // allocation; that is exactly the cost the paper's EPallocator amortizes by
-// handing out 56-object chunks. We model it with one metadata-flush charge
-// per raw alloc/free (Options::charge_alloc_persist), so the EPallocator-vs-
-// naive ablation measures the same effect as the paper.
+// handing out 56-object chunks. Arena::alloc/free model it with one
+// metadata-flush charge each (Stats::alloc_meta_persists), so the
+// EPallocator-vs-naive ablation measures the same effect as the paper.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,10 @@ class BlockAllocator {
   void free(uint64_t off, uint64_t bytes, uint64_t align = kBlockSize);
 
   /// Recovery: mark everything free, then re-mark reachable spans.
+  /// mark_used returns false, and marks nothing, when the span leaves the
+  /// managed space or overlaps a used block.
   void reset_all_free();
-  void mark_used(uint64_t off, uint64_t bytes);
+  bool mark_used(uint64_t off, uint64_t bytes);
 
   /// Physical bytes currently allocated (block-rounded).
   [[nodiscard]] uint64_t used_block_bytes() const;

@@ -39,7 +39,6 @@ std::unique_ptr<pmem::Arena> make_arena(double eviction = 0.0,
   pmem::Arena::Options o;
   o.size = size_t{64} << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   o.eviction_prob = eviction;
   o.crash_seed = seed;
   return std::make_unique<pmem::Arena>(o);

@@ -1,6 +1,6 @@
 // Multithreaded stress tests for EPallocator: concurrent two-phase
 // allocation never double-issues a slot, and commits/frees/recycles from
-// many threads keep the chunk lists, the predecessor links, the dense
+// many threads keep the leaf chunk list, the predecessor links, the dense
 // chunk tables and the bitmaps consistent. The allocator runs with four
 // stripes, so threads with different home stripes allocate side by side
 // and steal from each other's stripes once their own runs dry.
@@ -122,12 +122,14 @@ TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
 }
 
 // Four threads churn all five object types at once, growing and then
-// draining their working sets so chunks empty and get recycled while the
-// other threads link new chunks into the same lists. Frees go through the
-// eager path (recycle only when the free reports an empty chunk) and the
-// retired path (reuse and recycle deferred to release_retired). Afterwards
-// every list must be intact and agree with the dense tables, and the live
-// counts must match what the threads hold.
+// draining their working sets so chunks empty and get recycled (leaf
+// chunks) or returned to the arena (value chunks) while the other threads
+// open new chunks of the same types. Frees go through the eager path
+// (recycle only when the free reports an empty chunk) and the retired path
+// (reuse and recycle deferred to release_retired). Afterwards the leaf
+// list must be intact and agree with the dense tables, the arena must hold
+// exactly the chunks the tables hold, and the live counts must match what
+// the threads hold.
 TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
   pmem::Arena::Options o;
   o.size = 64 << 20;
@@ -181,7 +183,8 @@ TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_GT(recycles.value(), recycles0) << "the churn must recycle chunks";
+  EXPECT_GT(recycles.value(), recycles0)
+      << "the churn must recycle leaf chunks";
 
   uint64_t chunk_bytes = 0;
   for (int type = 0; type < kNumObjTypes; ++type) {
@@ -193,19 +196,17 @@ TEST(EPAllocConcurrent, MixedTypeChurnRecyclesKeepListsIntact) {
       want += held[t * kNumObjTypes + type].size();
     }
     EXPECT_EQ(ep.live_objects(ot), want) << "type " << type;
-    // The persistent list holds each chunk once, and exactly the chunks
-    // the tables hold.
-    const std::vector<uint64_t> list = ep.chunk_offsets(ot);
-    EXPECT_EQ(std::set<uint64_t>(list.begin(), list.end()).size(),
-              list.size());
-    EXPECT_EQ(list.size(), ep.chunk_count(ot)) << "type " << type;
-    // Leaf headers mirror the shadows; value headers carry no bits.
-    uint64_t listed_live = 0;
-    ep.for_each_live(ot, [&](uint64_t) { ++listed_live; });
-    EXPECT_EQ(listed_live, has_persistent_bit(ot) ? want : 0)
-        << "type " << type;
-    chunk_bytes += list.size() * ep.geom(ot).chunk_bytes;
+    chunk_bytes += ep.chunk_count(ot) * ep.geom(ot).chunk_bytes;
   }
+  // The leaf list holds each chunk once, and exactly the chunks the table
+  // holds; leaf headers mirror the shadows.
+  const std::vector<uint64_t> list = ep.chunk_offsets();
+  EXPECT_EQ(std::set<uint64_t>(list.begin(), list.end()).size(),
+            list.size());
+  EXPECT_EQ(list.size(), ep.chunk_count(ObjType::kLeaf));
+  uint64_t listed_live = 0;
+  ep.for_each_live([&](uint64_t) { ++listed_live; });
+  EXPECT_EQ(listed_live, ep.live_objects(ObjType::kLeaf));
   EXPECT_EQ(arena.stats().pm_live_bytes.load(), chunk_bytes) << "PM leak";
 }
 
@@ -247,7 +248,7 @@ TEST(EPAllocConcurrent, DeletesFreeLeafThenValueAcrossStripes) {
   for (auto& th : threads) th.join();
   // Whatever remains is exactly the live leaves and the values they name.
   uint64_t leaves = 0;
-  ep.for_each_live(ObjType::kLeaf, [&](uint64_t off) {
+  ep.for_each_live([&](uint64_t off) {
     ++leaves;
     const auto* l = arena.ptr<FakeLeaf>(off);
     const ObjType vcls =

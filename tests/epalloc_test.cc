@@ -1,7 +1,7 @@
 // Unit tests for EPallocator: chunk header encoding, two-phase allocation,
-// chunk-list growth, recycling with the recycle log, the split between
-// persistent leaf bits and DRAM-only value occupancy, and structural
-// recovery. The allocator runs with one stripe and eager header persists —
+// chunk growth, leaf-chunk recycling with the recycle log, the split
+// between persistent leaf bits and DRAM-only value occupancy (value chunks
+// are on no persistent list), and structural recovery. The allocator runs with one stripe and eager header persists —
 // the paper's single-instance EPallocator — so chunk fill order and the
 // recycle persist sequence are exact.
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@ class EPAllocTest : public ::testing::Test {
     pmem::Arena::Options o;
     o.size = 32 << 20;
     o.shadow = true;
-    o.charge_alloc_persist = false;
     arena_ = std::make_unique<pmem::Arena>(o);
     make_alloc();
   }
@@ -160,50 +159,52 @@ TEST_F(EPAllocTest, FreeObjectMakesSlotAvailable) {
 }
 
 TEST_F(EPAllocTest, RecycleFreesEmptyChunkAndKeepsListConsistent) {
-  // Fill two chunks of values.
+  // Fill two leaf chunks.
   std::vector<uint64_t> offs;
   for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-    const uint64_t o = reserve(*ep_, ObjType::kValue8);
-    ep_->commit(ObjType::kValue8, o);
+    const uint64_t o = reserve(*ep_, ObjType::kLeaf);
+    ep_->commit(ObjType::kLeaf, o);
     offs.push_back(o);
   }
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
-  const auto& g = ep_->geom(ObjType::kValue8);
+  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 2u);
+  const auto& g = ep_->geom(ObjType::kLeaf);
   // Empty the *first allocated* chunk (it is the list tail after the head
   // push of chunk 2).
   const uint64_t tail_chunk = g.chunk_of(offs.front());
+  const uint64_t head_chunk = g.chunk_of(offs.back());
   for (const uint64_t o : offs) {
     if (g.chunk_of(o) == tail_chunk) {
-      ep_->free_object(ObjType::kValue8, o);
+      ep_->free_object(ObjType::kLeaf, o);
     }
   }
-  ep_->recycle_chunk_of(ObjType::kValue8, offs.front());
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+  ep_->recycle_chunk_of(ObjType::kLeaf, offs.front());
+  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 1u);
   EXPECT_FALSE(arena_->is_allocated(tail_chunk, g.chunk_bytes));
+  EXPECT_EQ(ep_->chunk_offsets(), std::vector<uint64_t>{head_chunk});
   // Remaining objects still intact.
   for (const uint64_t o : offs) {
     if (g.chunk_of(o) != tail_chunk) {
-      EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
+      EXPECT_TRUE(ep_->bit_is_set(ObjType::kLeaf, o));
     }
   }
 }
 
 TEST_F(EPAllocTest, RecycleHeadChunkUpdatesHead) {
-  // Two chunks; head is the most recently created one.
+  // Two leaf chunks; head is the most recently created one.
   std::vector<uint64_t> offs;
   for (uint32_t i = 0; i < kObjectsPerChunk + 1; ++i) {
-    const uint64_t o = reserve(*ep_, ObjType::kValue8);
-    ep_->commit(ObjType::kValue8, o);
+    const uint64_t o = reserve(*ep_, ObjType::kLeaf);
+    ep_->commit(ObjType::kLeaf, o);
     offs.push_back(o);
   }
-  const auto& g = ep_->geom(ObjType::kValue8);
-  const uint64_t head_chunk = ep_->list_head(ObjType::kValue8);
+  const auto& g = ep_->geom(ObjType::kLeaf);
+  const uint64_t head_chunk = arena_->root<Root>()->ep.leaf_head;
   const uint64_t head_obj = offs.back();
   ASSERT_EQ(g.chunk_of(head_obj), head_chunk);
-  ep_->free_object(ObjType::kValue8, head_obj);
-  ep_->recycle_chunk_of(ObjType::kValue8, head_obj);
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  EXPECT_NE(ep_->list_head(ObjType::kValue8), head_chunk);
+  ep_->free_object(ObjType::kLeaf, head_obj);
+  ep_->recycle_chunk_of(ObjType::kLeaf, head_obj);
+  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 1u);
+  EXPECT_EQ(arena_->root<Root>()->ep.leaf_head, g.chunk_of(offs.front()));
 }
 
 TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
@@ -215,22 +216,35 @@ TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
 }
 
 TEST_F(EPAllocTest, ValueCommitsAndFreesPersistNothing) {
-  // Values have no persistent bit: their commit and free change only the
-  // DRAM shadow, and their chunk header stays zero.
-  const uint64_t v = reserve(*ep_, ObjType::kValue8);
-  const uint64_t before = arena_->stats().persist_calls.load();
-  ep_->commit(ObjType::kValue8, v);
-  EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, v));
-  const auto* c = arena_->ptr<MemChunk>(
-      ep_->geom(ObjType::kValue8).chunk_of(v));
-  EXPECT_EQ(c->header, 0u);
-  const uint64_t keep = reserve(*ep_, ObjType::kValue8);
-  ep_->commit(ObjType::kValue8, keep);
-  EXPECT_FALSE(ep_->free_object(ObjType::kValue8, v));
-  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, v));
-  EXPECT_EQ(c->header, 0u);
-  EXPECT_EQ(arena_->stats().persist_calls.load(), before);
-  EXPECT_EQ(reserve(*ep_, ObjType::kValue8), v) << "reusable at once";
+  // A value chunk's whole life persists nothing: it is created as a bare
+  // arena span on no list, its values have no persistent bit (commit and
+  // free change only the DRAM shadow), and once empty it goes back to the
+  // arena without an unlink or a recycle log.
+  const auto& g = ep_->geom(ObjType::kValue8);
+  const uint64_t head = arena_->root<Root>()->ep.leaf_head;
+  const uint64_t before = arena_->persist_count();
+  std::vector<uint64_t> vals;
+  for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
+    vals.push_back(reserve(*ep_, ObjType::kValue8));
+    ep_->commit(ObjType::kValue8, vals.back());
+  }
+  const uint64_t c_off = g.chunk_of(vals.front());
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+  EXPECT_TRUE(arena_->is_allocated(c_off, g.chunk_bytes));
+  EXPECT_EQ(ep_->live_objects(ObjType::kValue8), kObjectsPerChunk);
+  EXPECT_FALSE(ep_->free_object(ObjType::kValue8, vals[0]));
+  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, vals[0]));
+  EXPECT_EQ(reserve(*ep_, ObjType::kValue8), vals[0]) << "reusable at once";
+  ep_->commit(ObjType::kValue8, vals[0]);
+  bool emptied = false;
+  for (const uint64_t v : vals) emptied = ep_->free_object(ObjType::kValue8, v);
+  EXPECT_TRUE(emptied) << "the last free must report an empty chunk";
+  ep_->recycle_chunk_of(ObjType::kValue8, vals.front());
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 0u);
+  EXPECT_FALSE(arena_->is_allocated(c_off, g.chunk_bytes));
+  EXPECT_EQ(arena_->persist_count(), before);
+  EXPECT_EQ(arena_->root<Root>()->ep.leaf_head, head) << "no chunk list moved";
+  EXPECT_EQ(arena_->root<Root>()->ep.rlog.pcurrent, 0u);
 }
 
 TEST_F(EPAllocTest, LeafBitsPersistOnCommitAndFree) {
@@ -255,7 +269,6 @@ TEST(EPAllocBatched, LeafFreePersistsEagerlyAndCoversDeferredCommits) {
   pmem::Arena::Options o;
   o.size = 8 << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   pmem::Arena arena(o);
   struct R {
     EPRoot ep;
@@ -292,12 +305,13 @@ TEST_F(EPAllocTest, RecoveryRederivesValueOccupancyFromMarkLive) {
   arena_->crash();
   make_alloc();
   ep_->recover_structure();
-  // The chunks survive (their links are persistent), their occupancy
-  // does not: the owner re-derives it.
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 2u);
+  // Value chunks are on no persistent list: they come back only as the
+  // owner's leaf walk names their values.
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 0u);
   EXPECT_EQ(ep_->live_objects(ObjType::kValue16), 0u);
   for (size_t i = 0; i < vals.size(); i += 2)
     ep_->mark_live(ObjType::kValue16, vals[i]);
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 2u);
   EXPECT_EQ(ep_->live_objects(ObjType::kValue16), (vals.size() + 1) / 2);
   EXPECT_THROW(ep_->mark_live(ObjType::kValue16, vals[0]),
                std::runtime_error)
@@ -305,6 +319,11 @@ TEST_F(EPAllocTest, RecoveryRederivesValueOccupancyFromMarkLive) {
   EXPECT_THROW(ep_->mark_live(ObjType::kValue16, vals[0] + 4),
                std::runtime_error)
       << "not an object boundary";
+  EXPECT_THROW(ep_->mark_live(ObjType::kValue16, 64), std::runtime_error)
+      << "a chunk inside the arena header";
+  EXPECT_THROW(ep_->mark_live(ObjType::kValue8, vals[1]),
+               std::runtime_error)
+      << "a chunk overlapping another class's chunk";
   // Filling both chunks hands out every unmarked slot, no marked one.
   std::set<uint64_t> again;
   const uint64_t free_slots =
@@ -314,6 +333,32 @@ TEST_F(EPAllocTest, RecoveryRederivesValueOccupancyFromMarkLive) {
   EXPECT_EQ(ep_->chunk_count(ObjType::kValue16), 2u);
   for (size_t i = 0; i < vals.size(); ++i)
     EXPECT_EQ(again.count(vals[i]), i % 2 == 0 ? 0u : 1u) << i;
+}
+
+TEST_F(EPAllocTest, RecoveryFreesValueChunkNoLeafNames) {
+  // Crash with two leaf chunks and two value chunks, one of whose values
+  // are all dead (no live leaf names them). Recovery claims only the
+  // chunks it can reach: the dead value chunk's span is free again.
+  std::vector<uint64_t> vals;
+  for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
+    ep_->commit(ObjType::kLeaf, reserve(*ep_, ObjType::kLeaf));
+    vals.push_back(reserve(*ep_, ObjType::kValue32));
+    ep_->commit(ObjType::kValue32, vals.back());
+  }
+  const TypeGeometry g = ep_->geom(ObjType::kValue32);  // ep_ is replaced
+  const uint64_t live_chunk = g.chunk_of(vals.front());
+  const uint64_t dead_chunk = g.chunk_of(vals.back());
+  ASSERT_NE(live_chunk, dead_chunk);
+  arena_->crash();
+  make_alloc();
+  ep_->recover_structure();
+  for (const uint64_t v : vals)
+    if (g.chunk_of(v) == live_chunk) ep_->mark_live(ObjType::kValue32, v);
+  EXPECT_EQ(ep_->chunk_count(ObjType::kValue32), 1u);
+  EXPECT_TRUE(arena_->is_allocated(live_chunk, g.chunk_bytes));
+  EXPECT_FALSE(arena_->is_allocated(dead_chunk, g.chunk_bytes));
+  EXPECT_EQ(arena_->stats().pm_live_bytes.load(),
+            2 * ep_->geom(ObjType::kLeaf).chunk_bytes + g.chunk_bytes);
 }
 
 TEST_F(EPAllocTest, LiveObjectCountsTrackCommits) {
@@ -346,8 +391,7 @@ TEST_F(EPAllocTest, ForEachLiveVisitsExactlySetObjects) {
     }
   }
   std::set<uint64_t> seen;
-  ep_->for_each_live(ObjType::kLeaf,
-                     [&](uint64_t o) { seen.insert(o); });
+  ep_->for_each_live([&](uint64_t o) { seen.insert(o); });
   EXPECT_EQ(seen, live);
 }
 
@@ -374,9 +418,10 @@ TEST_F(EPAllocTest, RecoverStructureRebuildsReachability) {
 }
 
 TEST_F(EPAllocTest, RecoveryIsLeakFreeByConstruction) {
-  // Allocate chunks in all three types, then crash with some reservations
-  // in flight; after recovery, physical usage equals exactly the reachable
-  // chunks.
+  // Allocate chunks of three types, then crash with some reservations in
+  // flight; after recovery, physical usage equals exactly the reachable
+  // chunks: the leaf list, and no value chunk, since no value here is
+  // named by a leaf.
   for (int i = 0; i < 60; ++i) {
     ep_->commit(ObjType::kLeaf, reserve(*ep_, ObjType::kLeaf));
     ep_->commit(ObjType::kValue8, reserve(*ep_, ObjType::kValue8));
@@ -386,17 +431,14 @@ TEST_F(EPAllocTest, RecoveryIsLeakFreeByConstruction) {
   make_alloc();
   ep_->recover_structure();
 
-  uint64_t expected = 0;
-  for (ObjType t : {ObjType::kLeaf, ObjType::kValue8, ObjType::kValue16,
-                    ObjType::kValue32, ObjType::kValue64}) {
-    expected += ep_->chunk_count(t) * ep_->geom(t).chunk_bytes;
+  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 2u);
+  EXPECT_EQ(arena_->stats().pm_live_bytes.load(),
+            2 * ep_->geom(ObjType::kLeaf).chunk_bytes);
+  for (ObjType t : {ObjType::kValue8, ObjType::kValue16, ObjType::kValue32,
+                    ObjType::kValue64}) {
+    EXPECT_EQ(ep_->chunk_count(t), 0u);
+    EXPECT_EQ(ep_->live_objects(t), 0u);
   }
-  EXPECT_EQ(arena_->stats().pm_live_bytes.load(), expected);
-  // kValue16 saw only a reservation: no chunk may survive... unless the
-  // chunk was created and linked before the crash, in which case it is
-  // reachable but empty — allowed. Either way nothing is leaked:
-  EXPECT_LE(ep_->chunk_count(ObjType::kValue16), 1u);
-  EXPECT_EQ(ep_->live_objects(ObjType::kValue16), 0u);
 }
 
 TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
@@ -407,7 +449,6 @@ TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
     pmem::Arena::Options o;
     o.size = 32 << 20;
     o.shadow = true;
-    o.charge_alloc_persist = false;
     pmem::Arena arena(o);
     struct R {
       EPRoot ep;
@@ -467,7 +508,6 @@ TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
     pmem::Arena::Options o;
     o.size = 8 << 20;
     o.shadow = true;
-    o.charge_alloc_persist = false;
     pmem::Arena arena(o);
     struct R {
       EPRoot ep;
@@ -483,7 +523,7 @@ TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
     const TypeGeometry g = ep->geom(ObjType::kLeaf);  // ep is replaced
     for (uint32_t i = 0; i < kObjectsPerChunk * kChunks; ++i)
       ep->commit(ObjType::kLeaf, reserve(*ep, ObjType::kLeaf));
-    std::vector<uint64_t> model = ep->chunk_offsets(ObjType::kLeaf);
+    std::vector<uint64_t> model = ep->chunk_offsets();
     ASSERT_EQ(model.size(), static_cast<size_t>(kChunks));
 
     // Middle, head, tail first, then the rest in a seeded random order.
@@ -518,7 +558,7 @@ TEST(EPAllocRecycle, AnyChunkUnlinksInOrderAcrossCrashes) {
         ep->recycle_chunk_of(ObjType::kLeaf, victim);
       }
       model.erase(std::find(model.begin(), model.end(), victim));
-      ASSERT_EQ(ep->chunk_offsets(ObjType::kLeaf), model)
+      ASSERT_EQ(ep->chunk_offsets(), model)
           << "after recycling chunk " << victim;
       EXPECT_EQ(ep->chunk_count(ObjType::kLeaf), model.size());
       EXPECT_EQ(ep->live_objects(ObjType::kLeaf),

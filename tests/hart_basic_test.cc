@@ -21,7 +21,6 @@ testutil::CheckedArena make_arena(size_t mb = 64) {
   pmem::Arena::Options o;
   o.size = mb << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   return testutil::make_checked_arena(o);
 }
 
@@ -275,7 +274,6 @@ TEST(Hart, FlushedLinesPerOpAreBounded) {
   // nothing (read latency equals DRAM's).
   pmem::Arena::Options o;
   o.size = 64 << 20;
-  o.charge_alloc_persist = false;
   o.latency = pmem::LatencyConfig::c300_100();
   o.defer_latency = true;
   pmem::Arena arena(o);
@@ -440,7 +438,6 @@ TEST(Hart, ArenaExhaustionIsATypedRefusal) {
   // usable again.
   pmem::Arena::Options o;
   o.size = size_t{64} << 10;
-  o.charge_alloc_persist = false;
   auto arena = testutil::make_checked_arena(o);
   Hart h(*arena, testutil::hart_options());
   auto key = [](int i) { return "oom-" + std::to_string(i); };

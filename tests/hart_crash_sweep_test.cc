@@ -220,7 +220,6 @@ testutil::CheckedArena make_arena(const SweepConfig& cfg, uint64_t seed) {
   pmem::Arena::Options o;
   o.size = size_t{2} << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   // Only crash points with too many unflushed lines to enumerate draw a
   // random survivor subset.
   o.eviction_prob = cfg.evict ? 0.5 : 0.0;

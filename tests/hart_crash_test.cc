@@ -28,7 +28,6 @@ testutil::CheckedArena make_arena(double eviction_prob = 0.0,
   pmem::Arena::Options o;
   o.size = size_t{64} << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   o.eviction_prob = eviction_prob;
   o.crash_seed = seed;
   return testutil::make_checked_arena(o);

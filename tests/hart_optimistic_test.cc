@@ -39,7 +39,6 @@ namespace {
 testutil::CheckedArena make_arena(size_t mb = 256) {
   pmem::Arena::Options o;
   o.size = mb << 20;
-  o.charge_alloc_persist = false;
   return testutil::make_checked_arena(o);
 }
 

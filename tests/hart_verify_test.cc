@@ -19,7 +19,6 @@ testutil::CheckedArena make_arena() {
   pmem::Arena::Options o;
   o.size = 64 << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   return testutil::make_checked_arena(o);
 }
 
@@ -95,8 +94,38 @@ class VerifyCorruption : public ::testing::Test {
       h.insert("key" + std::to_string(i), "value");
     root_ = arena_->root<HartRoot>();
   }
-  uint64_t leaf_chunk() const {
-    return root_->ep.heads[static_cast<int>(epalloc::ObjType::kLeaf)];
+  uint64_t leaf_chunk() const { return root_->ep.leaf_head; }
+  /// The first live leaf recovery walks (in the head leaf chunk), and the
+  /// last (in the tail chunk).
+  HartLeaf* first_leaf() const { return leaf_at(leaf_chunk(), false); }
+  HartLeaf* last_leaf() const {
+    uint64_t c = leaf_chunk();
+    while (arena_->ptr<epalloc::MemChunk>(c)->pnext != 0)
+      c = arena_->ptr<epalloc::MemChunk>(c)->pnext;
+    return leaf_at(c, true);
+  }
+  HartLeaf* leaf_at(uint64_t chunk, bool last) const {
+    const auto g = epalloc::TypeGeometry::for_obj_size(sizeof(HartLeaf));
+    const uint64_t bm = epalloc::ChunkHdr::bitmap(
+        arena_->ptr<epalloc::MemChunk>(chunk)->header);
+    return arena_->ptr<HartLeaf>(g.object_off(
+        chunk, static_cast<uint32_t>(last ? 63 - std::countl_zero(bm)
+                                          : std::countr_zero(bm))));
+  }
+  /// The verifier reports an error whose text contains `what`.
+  void expect_reported(const std::string& what) const {
+    const auto report = verify_hart_image(*arena_);
+    EXPECT_FALSE(report.ok());
+    bool named = false;
+    for (const auto& issue : report.issues)
+      named = named || issue.what.find(what) != std::string::npos;
+    EXPECT_TRUE(named) << report.summary();
+  }
+  /// Recovery must refuse the image too: mark_live throws, after the
+  /// rebuild has retired nodes of trees the failed open destroys.
+  void expect_recovery_throws() {
+    EXPECT_THROW(Hart h(*arena_), std::runtime_error);
+    common::ebr::Domain::instance().drain();
   }
   testutil::CheckedArena arena_;
   HartRoot* root_ = nullptr;
@@ -200,38 +229,53 @@ TEST_F(VerifyCorruption, DetectsDuplicateKey) {
         used.insert(ValueRef::off(
             arena_->ptr<HartLeaf>(g.object_off(lc, i))->p_value));
   }
-  const uint64_t vchunk = root_->ep.heads[static_cast<int>(vcls)];
+  // Value chunks are on no list: look for the spare slot in the chunks
+  // the live leaves name.
   uint64_t spare = 0;
-  for (uint32_t i = 0; i < epalloc::kObjectsPerChunk && spare == 0; ++i)
-    if (!used.contains(vg.object_off(vchunk, i)))
-      spare = vg.object_off(vchunk, i);
+  for (auto it = used.begin(); it != used.end() && spare == 0; ++it)
+    for (uint32_t i = 0; i < epalloc::kObjectsPerChunk && spare == 0; ++i)
+      if (const uint64_t o = vg.object_off(vg.chunk_of(*it), i);
+          !used.contains(o))
+        spare = o;
   ASSERT_NE(spare, 0u);
   dup->p_value = ValueRef::pack(spare, ValueRef::len(vw), ValueRef::cls(vw));
   c->header = epalloc::ChunkHdr::with_bit(c->header, free, true);
-  const auto report = verify_hart_image(*arena_);
-  EXPECT_FALSE(report.ok()) << report.summary();
-  bool named = false;
-  for (const auto& issue : report.issues)
-    named = named ||
-            issue.what.find("carried by two live leaves") != std::string::npos;
-  EXPECT_TRUE(named) << report.summary();
+  expect_reported("carried by two live leaves");
 }
 
-TEST_F(VerifyCorruption, DetectsBitsInValueChunkHeader) {
-  const uint64_t c_off =
-      root_->ep.heads[static_cast<int>(epalloc::ObjType::kValue8)];
-  ASSERT_NE(c_off, 0u);
-  auto* c = arena_->ptr<epalloc::MemChunk>(c_off);
-  c->header = epalloc::ChunkHdr::with_bit(c->header, 0, true);
-  EXPECT_FALSE(verify_hart_image(*arena_).ok());
+TEST_F(VerifyCorruption, DetectsValueInsideLeafChunk) {
+  // A value word naming an 8-byte slot inside a leaf chunk's span: the
+  // slot is a valid object of its class, but the chunk it derives
+  // overlaps the leaf chunk.
+  const auto vg = epalloc::TypeGeometry::for_obj_size(8);
+  const uint64_t voff = vg.object_off(leaf_chunk(), 0);
+  ASSERT_EQ(vg.chunk_of(voff), leaf_chunk());
+  last_leaf()->p_value = ValueRef::pack(voff, 1, epalloc::ObjType::kValue8);
+  expect_reported("overlaps");
+  expect_recovery_throws();
+}
+
+TEST_F(VerifyCorruption, DetectsOverlappingValueClasses) {
+  // Every value here is 8-byte class. Point the last leaf recovery walks
+  // at a 16-byte slot of the 16-byte chunk that contains the first leaf's
+  // 8-byte chunk: each chunk is sound alone, but their spans overlap.
+  const uint64_t v8 = ValueRef::off(first_leaf()->p_value);
+  const auto g8 = epalloc::TypeGeometry::for_obj_size(8);
+  const auto g16 = epalloc::TypeGeometry::for_obj_size(16);
+  const uint64_t c16 = g16.chunk_of(g8.chunk_of(v8));
+  last_leaf()->p_value =
+      ValueRef::pack(g16.object_off(c16, 0), 1, epalloc::ObjType::kValue16);
+  expect_reported("overlaps");
+  expect_recovery_throws();
 }
 
 TEST_F(VerifyCorruption, DetectsPartiallyClearedLogs) {
   root_->ep.rlog.pprev = 0xdead;  // pcurrent stays 0
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
-  root_->ep.rlog.pprev = 0;
-  root_->ep.rlog.type_plus1 = 2;  // pcurrent stays 0
+  root_->ep.rlog.pprev = leaf_chunk();  // a real chunk, pcurrent still 0
   EXPECT_FALSE(verify_hart_image(*arena_).ok());
+  root_->ep.rlog.pprev = 0;
+  EXPECT_TRUE(verify_hart_image(*arena_).ok());
 }
 
 }  // namespace

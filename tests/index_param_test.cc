@@ -51,7 +51,6 @@ class IndexParamTest : public ::testing::TestWithParam<size_t> {
   IndexParamTest() {
     pmem::Arena::Options o;
     o.size = size_t{256} << 20;
-    o.charge_alloc_persist = false;
     arena_ = std::make_unique<pmem::Arena>(o);
     index_ = kFactories[GetParam()].make(*arena_);
   }

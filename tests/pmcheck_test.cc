@@ -21,7 +21,6 @@ Arena::Options small_opts() {
   o.size = 1 << 20;
   o.shadow = true;
   o.check = true;
-  o.charge_alloc_persist = false;
   return o;
 }
 

@@ -20,7 +20,6 @@ Arena::Options small_opts() {
   Arena::Options o;
   o.size = 4 << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   return o;
 }
 
@@ -55,7 +54,6 @@ TEST(Arena, FreeMakesSpanReusable) {
 TEST(Arena, ExhaustionThrowsBadAlloc) {
   Arena::Options o;
   o.size = 64 << 10;
-  o.charge_alloc_persist = false;
   Arena a(o);
   EXPECT_THROW(
       {
@@ -188,7 +186,6 @@ TEST(Arena, EvictionIsDeterministicPerSeed) {
     Arena::Options o;
     o.size = 1 << 20;
     o.shadow = true;
-    o.charge_alloc_persist = false;
     o.eviction_prob = 0.5;
     o.crash_seed = seed;
     Arena a(o);
@@ -271,7 +268,6 @@ TEST(Arena, ResetAndMarkRebuildAllocationMap) {
 
 TEST(Arena, AllocMetadataChargeIsCounted) {
   Arena::Options o = small_opts();
-  o.charge_alloc_persist = true;
   Arena a(o);
   const uint64_t off = a.alloc(64, 64);
   a.free(off, 64, 64);
@@ -422,13 +418,13 @@ TEST(Arena, DeferredLatencyBanksInsteadOfSpinning) {
   o.latency = LatencyConfig::c300_300();  // +200 ns/line both ways
   o.defer_latency = true;
   Arena a(o);
-  const uint64_t off = a.alloc(128, 64);
-  EXPECT_EQ(a.owed_latency_ns(), 0u);
-  a.persist(a.ptr<char>(off), 128);  // 2 lines -> 400 ns owed
-  EXPECT_EQ(a.owed_latency_ns(), 400u);
-  a.pm_read(a.ptr<char>(off), 64);  // 1 line -> +200 ns
+  const uint64_t off = a.alloc(128, 64);  // 1 metadata flush -> 200 ns
+  EXPECT_EQ(a.owed_latency_ns(), 200u);
+  a.persist(a.ptr<char>(off), 128);  // 2 lines -> +400 ns
   EXPECT_EQ(a.owed_latency_ns(), 600u);
-  EXPECT_EQ(a.pay_latency(), 600u);
+  a.pm_read(a.ptr<char>(off), 64);  // 1 line -> +200 ns
+  EXPECT_EQ(a.owed_latency_ns(), 800u);
+  EXPECT_EQ(a.pay_latency(), 800u);
   EXPECT_EQ(a.owed_latency_ns(), 0u);
   EXPECT_EQ(a.pay_latency(), 0u);  // nothing owed: no sleep, returns 0
 }

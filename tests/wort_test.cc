@@ -21,7 +21,6 @@ testutil::CheckedArena make_arena(size_t mb = 128) {
   pmem::Arena::Options o;
   o.size = mb << 20;
   o.shadow = true;
-  o.charge_alloc_persist = false;
   return testutil::make_checked_arena(o);
 }
 

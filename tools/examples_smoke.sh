@@ -30,7 +30,7 @@ HART_ARENA_MB=16 "$kv" "$img" put plums 3
 "$ctl" "$img" verify | grep -q '^OK: 2 leaves, 2 values' || fail "verify"
 stats="$("$ctl" "$img" stats)"
 grep -q 'records' <<<"$stats" || fail "stats"
-grep -Eq '\| image format +\| 3 +\|' <<<"$stats" || fail "stats: format 3"
+grep -Eq '\| image format +\| 4 +\|' <<<"$stats" || fail "stats: format 4"
 grep -Eq '\| leaf geometry +\| object 32 B, first at 64 B,' <<<"$stats" ||
   fail "stats: 32-byte line-aligned leaf"
 [ "$("$ctl" "$img" dump | wc -l)" -eq 2 ] || fail "dump"
