@@ -13,7 +13,6 @@
 #include "fptree/fptree.h"
 #include "pmem/arena.h"
 #include "woart/woart.h"
-#include "woart/wort.h"
 #include "workload/keygen.h"
 
 namespace hart {
@@ -30,8 +29,6 @@ const Factory kFactories[] = {
      [](pmem::Arena& a) { return std::make_unique<pmart::ArtCow>(a); }},
     {"FPTree",
      [](pmem::Arena& a) { return std::make_unique<fptree::FpTree>(a); }},
-    {"WORT",
-     [](pmem::Arena& a) { return std::make_unique<pmart::Wort>(a); }},
 };
 
 std::unique_ptr<pmem::Arena> make_arena(double eviction = 0.0,
@@ -117,7 +114,7 @@ TEST_P(BaselineCrash, InsertSweepWithEviction) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Trees, BaselineCrash, ::testing::Values(0, 1, 2, 3),
+INSTANTIATE_TEST_SUITE_P(Trees, BaselineCrash, ::testing::Values(0, 1, 2),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return kFactories[info.param].name;
                          });

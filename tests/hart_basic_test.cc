@@ -5,9 +5,11 @@
 #include "checked_arena.h"
 #include "hart_options.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -501,6 +503,19 @@ TEST(Hart, ArenaExhaustionIsATypedRefusal) {
   const VerifyReport rep = verify_hart_image(*arena);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.live_leaves, static_cast<uint64_t>(stored - 100 + 1));
+}
+
+TEST(Hart, TestOptionsSelectTheBuildsStripeCount) {
+  // The one-stripe build must really run one stripe; otherwise its legs
+  // silently repeat the default build's.
+  auto arena = make_arena();
+  Hart h(*arena, testutil::hart_options());
+#ifdef HART_TEST_ONE_STRIPE
+  EXPECT_EQ(h.allocator().stripe_count(), 1u);
+#else
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(h.allocator().stripe_count(), hw == 0 ? 4u : std::min(hw, 8u));
+#endif
 }
 
 }  // namespace

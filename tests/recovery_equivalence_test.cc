@@ -17,7 +17,6 @@
 #include "hart/hart.h"
 #include "pmem/arena.h"
 #include "woart/woart.h"
-#include "woart/wort.h"
 #include "workload/keygen.h"
 
 namespace hart {
@@ -37,8 +36,6 @@ const Factory kFactories[] = {
      [](pmem::Arena& a) { return std::make_unique<pmart::ArtCow>(a); }},
     {"FPTree",
      [](pmem::Arena& a) { return std::make_unique<fptree::FpTree>(a); }},
-    {"WORT",
-     [](pmem::Arena& a) { return std::make_unique<pmart::Wort>(a); }},
 };
 const workload::WorkloadKind kWorkloads[] = {
     workload::WorkloadKind::kDictionary, workload::WorkloadKind::kSequential,
@@ -113,7 +110,7 @@ TEST_P(RecoveryEquivalence, ReopenMatchesCleanState) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, RecoveryEquivalence,
-    ::testing::Combine(::testing::Range<size_t>(0, 5),
+    ::testing::Combine(::testing::Range<size_t>(0, 4),
                        ::testing::Range<size_t>(0, 3)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return std::string(kFactories[std::get<0>(info.param)].name) + "_" +

@@ -47,12 +47,9 @@ CPP_SUFFIXES = {".cc", ".cpp", ".cxx", ".h", ".hpp"}
 IDENT = r"[A-Za-z_]\w*"
 
 # `auto* pv = a.ptr<PmValue>(off);` / `char* vp = arena_.ptr<char>(x);`
-# Also captures the offset expression's base identifier: a builder function
-# that returns that offset hands the persist duty to its caller and is not
-# flagged (e.g. Wort::new_node fills a node, the call site persists it).
 PTR_DECL_RE = re.compile(
     rf"\b(?:auto|char|std::byte|{IDENT})\s*\*\s*(?:const\s+)?({IDENT})\s*=\s*"
-    rf"[^;=]*\bptr\s*<[^<>;]*>\s*\(\s*({IDENT})?"
+    rf"[^;=]*\bptr\s*<[^<>;]*>\s*\("
 )
 MEMCPY_RE = re.compile(rf"\b(?:std::)?(?:memcpy|memmove|memset)\s*\(\s*([^,;]+),")
 PERSIST_USE_RE_TMPL = r"\b(?:persist|trace_store)\s*\(\s*[^,;()]*\b{id}\b"
@@ -138,13 +135,13 @@ def lint_file(path: Path, pm_structs: set[str], findings: list[str]) -> None:
 
     # --- PL001: memcpy into a ptr<>()-derived pointer with no persist ----
     for start_line, body in function_bodies(text):
-        pm_ptrs = {}  # pointer name -> offset identifier it was derived from
+        pm_ptrs = set()  # pointers taken from Arena::ptr<>()
         parents = {}  # alias name -> the PM pointer it was derived from
         decls = [("pm", m) for m in PTR_DECL_RE.finditer(body)]
         decls += [("alias", m) for m in ALIAS_DECL_RE.finditer(body)]
         for kind, m in sorted(decls, key=lambda km: km[1].start()):
             if kind == "pm":
-                pm_ptrs[m.group(1)] = m.group(2)
+                pm_ptrs.add(m.group(1))
             else:
                 # A pointer whose initializer is rooted in a known PM
                 # pointer (member access / array decay / arithmetic)
@@ -174,9 +171,6 @@ def lint_file(path: Path, pm_structs: set[str], findings: list[str]) -> None:
                     re.search(PERSIST_USE_RE_TMPL.format(id=re.escape(c)),
                               body) for c in links):
                 continue
-            src_off = pm_ptrs.get(links[-1])
-            if src_off and re.search(rf"\breturn\s+{re.escape(src_off)}\s*;", body):
-                continue  # builder pattern: caller owns the persist
             line = start_line + body.count("\n", 0, m.start())
             via = "" if dest in pm_ptrs else (
                 f" (via alias of '{links[-1]}')")
